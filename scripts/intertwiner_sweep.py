@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Solve the clock/shift intertwiner for every coprime pair up to a bound.
+"""Verify the clock/shift intertwiner for every coprime pair up to a bound.
 
 Example:
     python scripts/intertwiner_sweep.py --qmax 24 --out sweep_report.json
@@ -31,7 +31,7 @@ def main() -> int:
 
     failures = [r for r in reports if not r.ok]
     worst = max(max(r.resid_u, r.resid_v, r.resid_unitary) for r in reports)
-    print(f"pairs solved   : {len(reports)}")
+    print(f"pairs verified : {len(reports)}")
     print(f"failures       : {len(failures)}")
     print(f"worst residual : {worst:.3e}")
     print(f"elapsed        : {elapsed:.3f}s")

@@ -14,8 +14,9 @@ Subpackages by role:
   transfer under the embeddings, and exact crosschecks of the closed forms.
 - gclass: a two-integer seed family with exact identities, nested interval
   chains, modular splitting, and full decomposition certificates.
-- matrixmodel: finite clock/shift matrices and a numerically solved
-  intertwiner that witnesses the order-four transform at rational parameter.
+- matrixmodel: finite clock/shift matrices and the closed-form twisted
+  Fourier matrix that witnesses the order-four transform at rational
+  parameter, checked by numeric residuals.
 - exprcli: a small expression grammar for elements, with parse and unparse.
 - cli: the nct command line entry point.
 """
@@ -28,9 +29,7 @@ from .errors import (
     ExprSyntaxError,
     IndeterminateSign,
     NCTError,
-    NoIntertwiner,
     NotCoprime,
-    NotUnitary,
     ParamMismatch,
 )
 from .exactscalar import (
@@ -38,9 +37,7 @@ from .exactscalar import (
     Interval,
     PhaseScalar,
     ThetaLinear,
-    ThetaPoly,
     parse_rat,
-    poly_identity,
     rat_str,
     root_of_unity,
     tl_sign,
@@ -125,9 +122,7 @@ __all__ = [
     "Lemma31Record",
     "NCElement",
     "NCTError",
-    "NoIntertwiner",
     "NotCoprime",
-    "NotUnitary",
     "ONE_MINUS_THETA",
     "Param",
     "ParamMismatch",
@@ -135,7 +130,6 @@ __all__ = [
     "SeedParams",
     "THETA",
     "ThetaLinear",
-    "ThetaPoly",
     "TopVector",
     "TraceKind",
     "certify",
@@ -160,7 +154,6 @@ __all__ = [
     "one",
     "parse",
     "parse_rat",
-    "poly_identity",
     "psi",
     "psi_star",
     "rat_str",

@@ -27,8 +27,6 @@ from .errors import (
     DomainPhase,
     ExprSyntaxError,
     IndeterminateSign,
-    NoIntertwiner,
-    NotUnitary,
     ParamMismatch,
 )
 from .exactscalar import parse_rat, rat_str
@@ -101,6 +99,8 @@ def _cmd_gclass_interval(args) -> Tuple[int, Payload]:
 def _cmd_gclass_certify(args) -> Tuple[int, Payload]:
     kappas = _kappas(args)
     if args.grid is not None:
+        if args.k is not None or args.m is not None:
+            raise BadInput("certify takes either -k and -m or --grid MAX, not both")
         certs = certify_grid(args.grid, kappas)
         ok = True
         for cert in certs:
@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     matrix = subs.add_parser("matrix", help="clock/shift intertwiner witness")
     msubs = matrix.add_subparsers(dest="subcommand", required=True)
 
-    m_verify = msubs.add_parser("verify", parents=[out_parent], help="solve and verify one pair or a sweep")
+    m_verify = msubs.add_parser("verify", parents=[out_parent], help="build and verify one pair or a sweep")
     m_verify.add_argument("-p", type=int, default=1)
     m_verify.add_argument("-q", type=int, default=2)
     m_verify.add_argument("--sweep", type=int, metavar="QMAX", help="verify all coprime pairs with q <= QMAX")
@@ -356,14 +356,18 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (BadInput, DomainPhase, ParamMismatch, ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ChainFailure, IndeterminateSign, NoIntertwiner, NotUnitary) as exc:
+    except (ChainFailure, IndeterminateSign) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
     output = getattr(args, "output", None)
     if output and payload is not None:
-        with open(output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         print(f"report written to {output}")
     return code
 

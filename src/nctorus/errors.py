@@ -38,14 +38,6 @@ class IndeterminateSign(NCTError):
     """An exact sign query over an interval could not be decided."""
 
 
-class NoIntertwiner(NCTError):
-    """The joint intertwining system has solution space of dimension != 1."""
-
-
-class NotUnitary(NCTError):
-    """The scaled intertwiner failed the unitarity residual check."""
-
-
 class ExprSyntaxError(NCTError):
     """Input text does not conform to the expression grammar.
 

@@ -2,16 +2,15 @@
 
 Everything here is exact: Gaussian rationals, formal phase sums
 ``sum c_r * e(theta*r)`` with ``e(x) = exp(2*pi*i*x)``, linear quantities
-``a + b*theta``, dense rational polynomials in one unknown, and open
-rational intervals used for sign decisions.  ``theta`` is a formal symbol
-throughout; equality of phase sums is componentwise.  No floating point
-enters this module.
+``a + b*theta``, and open rational intervals used for sign decisions.
+``theta`` is a formal symbol throughout; equality of phase sums is
+componentwise.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import BadInput, DomainPhase
 
@@ -446,88 +445,3 @@ def tl_sign(x: ThetaLinear, window: Interval) -> Optional[int]:
     if v_lo <= 0 and v_hi <= 0:
         return -1
     return SIGN_INDETERMINATE
-
-
-class ThetaPoly:
-    """Dense polynomial in one unknown with Fraction coefficients.
-
-    coeffs[j] multiplies theta**j; trailing zeros are trimmed so equality
-    of coefficient tuples is equality of polynomials.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaPoly is immutable")
-
-    @staticmethod
-    def constant(c: RationalLike) -> "ThetaPoly":
-        return ThetaPoly((c,))
-
-    @staticmethod
-    def from_linear(x: ThetaLinear) -> "ThetaPoly":
-        return ThetaPoly((x.const, x.slope))
-
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ThetaPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "ThetaPoly") -> "ThetaPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] += c
-        return ThetaPoly(out)
-
-    def __neg__(self) -> "ThetaPoly":
-        return ThetaPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "ThetaPoly") -> "ThetaPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ThetaPoly":
-        if isinstance(other, (int, Fraction)):
-            return ThetaPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, ThetaPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ThetaPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for j, ca in enumerate(a):
-            if not ca:
-                continue
-            for k, cb in enumerate(b):
-                out[j + k] += ca * cb
-        return ThetaPoly(out)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*theta^{j}" if j else str(c) for j, c in enumerate(self.coeffs) if c)
-
-    def __repr__(self) -> str:
-        return f"ThetaPoly({self.coeffs!r})"
-
-
-def poly_identity(lhs: ThetaPoly, rhs: ThetaPoly) -> bool:
-    """True iff the two coefficient sequences agree exactly."""
-    return lhs.coeffs == rhs.coeffs

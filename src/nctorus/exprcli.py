@@ -27,6 +27,9 @@ from .ncalgebra import NCElement, Param, THETA, monomial, mul
 
 _TOKEN_RE = re.compile(r"\s*(?:(-?\d+)|([A-Za-z]+)|([+*^()/]))")
 _NAMES = {"U", "V", "i", "ph"}
+#: deepest parenthesis nesting accepted; each level costs about three
+#: parser frames, so this stays well under the interpreter's recursion limit
+MAX_DEPTH = 100
 
 # token: (kind, text, position); kinds are 'int', 'name', or the symbol itself
 Token = Tuple[str, str, int]
@@ -63,6 +66,7 @@ class _Parser:
         self.param = param
         self.tokens = _lex(text)
         self.idx = 0
+        self.depth = 0
 
     def _peek(self) -> Optional[Token]:
         return self.tokens[self.idx] if self.idx < len(self.tokens) else None
@@ -145,8 +149,12 @@ class _Parser:
                 return monomial(self.param, PhaseScalar.one(), power, 0)
             return monomial(self.param, PhaseScalar.one(), 0, power)
         if kind == "(":
+            if self.depth >= MAX_DEPTH:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
             self._next()
+            self.depth += 1
             el = self._expr()
+            self.depth -= 1
             self._next(")")
             return el
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)

@@ -28,9 +28,7 @@ from .exactscalar import (
     Interval,
     RationalLike,
     ThetaLinear,
-    ThetaPoly,
     as_fraction,
-    poly_identity,
     rat_str,
     tl_sign,
 )
@@ -215,10 +213,11 @@ def member(theta: RationalLike, kappas: Kappas = DEFAULT_KAPPAS, kmax: int = 40)
         raise BadInput(f"theta must lie in (0, 1), got {theta}")
     hits: List[SeedParams] = []
     for seed in seed_grid(kmax, odd_only=False):
-        parts = chain_parts(seed, kappas)
-        if not all(parts.values()):
+        try:
+            window = interval(seed, kappas)
+        except ChainFailure:
             continue
-        if interval(seed, kappas).contains(theta):
+        if window.contains(theta):
             hits.append(seed)
     return hits
 
@@ -269,8 +268,8 @@ def lemma31_arithmetic(N: int, M: int, t: ThetaLinear, window: Interval) -> Lemm
 
     Solves cM + dN = 1 with the canonical representative 0 <= c < N, forms
     K = M*n + N*m and L = d*n - c*m, and verifies the denominator-cleared
-    identity K*(c*theta + d) + L*(N*theta - M) = t as an exact polynomial
-    identity.  The two bounds 0 < t and t < (N*theta - M)/4 are decided by
+    identity K*(c*theta + d) + L*(N*theta - M) = t as an exact identity of
+    linear forms.  The two bounds 0 < t and t < (N*theta - M)/4 are decided by
     endpoint signs over the window; an endpoint disagreement raises
     IndeterminateSign rather than guessing.
     """
@@ -283,8 +282,7 @@ def lemma31_arithmetic(N: int, M: int, t: ThetaLinear, window: Interval) -> Lemm
     mm, nn = t.const, t.slope
     K_frac = M * nn + N * mm
     L_frac = d * nn - c * mm
-    lhs = K_frac * ThetaPoly((d, c)) + L_frac * ThetaPoly((-M, N))
-    identity_ok = poly_identity(lhs, ThetaPoly.from_linear(t))
+    identity_ok = K_frac * ThetaLinear(d, c) + L_frac * ThetaLinear(-M, N) == t
     sign_t = tl_sign(t, window)
     margin = ThetaLinear(Fraction(-M, 4), Fraction(N, 4)) - t
     sign_margin = tl_sign(margin, window)

@@ -2,17 +2,15 @@
 
 The clock matrix u = diag(e(j*p/q)) and the cyclic shift v satisfy
 vu = e(p/q) uv, and for gcd(p, q) = 1 they generate the full matrix
-algebra irreducibly.  The transform sending u -> v, v -> u* is then inner:
-a unitary W with W u W* = v and W v W* = u*.  W is found here by
-extracting the null space of the stacked linear system
+algebra irreducibly.  The transform sending u -> v, v -> u* is then inner,
+implemented by the twisted finite Fourier matrix
 
-    (u^T (x) I - I (x) v) vec(W) = 0
-    (v^T (x) I - I (x) u*) vec(W) = 0
+    W_jk = e(p*j*k/q) / sqrt(q),    j, k = 0..q-1,
 
-and checking the solution space is one-dimensional, which doubles as a
-numeric witness of irreducibility.  The null vector is rescaled to
-unitarity and phase-normalized so output is deterministic.  All checks
-use double precision with Frobenius-norm residuals against TOL.
+with W u W* = v and W v W* = u*.  W^2 is the index reversal j -> -j mod q,
+so conjugation by W has order four.  The report measures W against
+independently built u and v: both intertwining residuals, unitarity, and
+the order-four relations, as double-precision Frobenius norms against TOL.
 """
 
 from __future__ import annotations
@@ -23,12 +21,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import BadInput, NoIntertwiner, NotUnitary
+from .errors import BadInput
 
 #: residual tolerance for all verification norms (double precision, q <= 64)
 TOL = 1e-9
-#: relative singular-value threshold separating null directions
-NULL_TOL = 1e-8
 
 CMatrix = np.ndarray
 
@@ -57,78 +53,16 @@ def shift(q: int) -> CMatrix:
     return v
 
 
-def _svd_rows(stacked: CMatrix):
-    """Economy SVD returning (singular values, right vectors as rows).
-
-    The divide-and-conquer driver occasionally fails to converge on these
-    highly structured stacks; multiplying on the left by a seeded diagonal
-    unitary leaves singular values and right singular vectors untouched
-    while breaking the degeneracy pattern, so retry under such jitters.
-    """
-    try:
-        _, sing, vh = np.linalg.svd(stacked, full_matrices=False)
-        return sing, vh
-    except np.linalg.LinAlgError:
-        pass
-    rng = np.random.default_rng(0)
-    last: np.linalg.LinAlgError
-    for _ in range(4):
-        phases = np.exp(2j * np.pi * rng.random(stacked.shape[0]))
-        try:
-            _, sing, vh = np.linalg.svd(phases[:, None] * stacked, full_matrices=False)
-            return sing, vh
-        except np.linalg.LinAlgError as exc:
-            last = exc
-    raise last
-
-
-def _null_space_unique(stacked: CMatrix, q: int) -> CMatrix:
-    """The single null direction of the stacked system, reshaped to q x q.
-
-    Raises NoIntertwiner unless exactly one singular value sits below the
-    null threshold (relative to the largest).
-    """
-    sing, vh = _svd_rows(stacked)
-    scale = sing[0] if sing.size and sing[0] > 0 else 1.0
-    nullity = int(np.sum(sing < NULL_TOL * scale))
-    if nullity != 1:
-        raise NoIntertwiner(f"solution space has dimension {nullity}, expected 1")
-    w = vh[-1].conj().reshape((q, q), order="F")
-    return w
-
-
-def _solve_intertwiner(a1: CMatrix, b1: CMatrix, a2: CMatrix, b2: CMatrix) -> CMatrix:
-    """Unitary W with W a1 = b1 W and W a2 = b2 W, unique up to phase."""
-    q = a1.shape[0]
-    eye = np.eye(q)
-    stacked = np.vstack(
-        [
-            np.kron(a1.T, eye) - np.kron(eye, b1),
-            np.kron(a2.T, eye) - np.kron(eye, b2),
-        ]
-    )
-    w = _null_space_unique(stacked, q)
-    # intertwiners between irreducible pairs are scalar multiples of
-    # unitaries, so one global rescale suffices
-    w = w * (math.sqrt(q) / np.linalg.norm(w))
-    unit_resid = np.linalg.norm(w.conj().T @ w - eye)
-    if unit_resid > TOL:
-        raise NotUnitary(f"rescaled solution is not unitary: residual {unit_resid:.3e}")
-    # deterministic phase: first nonzero entry of the first row positive real
-    row = w[0]
-    idx = int(np.argmax(np.abs(row) > NULL_TOL))
-    pivot = row[idx]
-    if abs(pivot) > NULL_TOL:
-        w = w * (abs(pivot) / pivot)
-    return w
-
-
 def fourier_intertwiner(q: int, p: int) -> CMatrix:
-    """Unitary W with W u W* = v and W v W* = u* for the (q, p) clock/shift pair."""
+    """The twisted finite Fourier matrix W_jk = e(p*j*k/q)/sqrt(q).
+
+    W is unitary with W u W* = v and W v W* = u* for the (q, p) clock/shift
+    pair.  The exponent p*j*k is reduced mod q in integers first, so every
+    angle lies in [0, 2*pi).
+    """
     _check_pair(q, p)
-    u = clock(q, p)
-    v = shift(q)
-    return _solve_intertwiner(u, v, v, u.conj().T)
+    j = np.arange(q)
+    return np.exp(2j * np.pi * (p * np.outer(j, j) % q) / q) / math.sqrt(q)
 
 
 @dataclass(frozen=True)
@@ -195,7 +129,7 @@ def verify_order_four(q: int, p: int) -> bool:
 
 
 def intertwiner_report(q: int, p: int) -> IntertwinerReport:
-    """Solve once and measure every residual for one pair."""
+    """Build W once and measure every residual for one pair."""
     w = fourier_intertwiner(q, p)
     u = clock(q, p)
     v = shift(q)

@@ -15,6 +15,8 @@ class TestExitCodes:
                     "--kappa1", "3/5", "--kappa2", "3/10"]) == 2
         assert run(["gclass", "member", "--theta", "3/2"]) == 2
         assert run(["gclass", "certify", "--kappa1", "3/4", "--kappa2", "1/2"]) == 2
+        assert run(["gclass", "certify", "--grid", "5", "-k", "1", "-m", "3"]) == 2
+        assert run(["gclass", "certify", "--grid", "5", "-k", "1"]) == 2
         assert run(["expr", "echo", "--expr", "U + +"]) == 2
         assert run(["traces", "eval", "--kind", "t10", "--expr", "(U"]) == 2
         assert run(["chern", "top", "--charge", "plus", "-p", "2", "-q", "4"]) == 2
@@ -25,6 +27,21 @@ class TestExitCodes:
                     "--kappa1", "99/100", "--kappa2", "1/2"]) == 1
         assert run(["gclass", "certify", "-k", "1", "-m", "3",
                     "--kappa1", "99/100", "--kappa2", "1/2"]) == 1
+
+    def test_unwritable_report_is_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert run(["expr", "echo", "--expr", "U", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_deep_nesting_is_two(self, capsys):
+        deep = "(" * 1000 + "U" + ")" * 1000
+        assert run(["expr", "echo", "--expr", deep]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parentheses nested deeper than")
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0

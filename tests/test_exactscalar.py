@@ -12,9 +12,7 @@ from nctorus import (
     Interval,
     PhaseScalar,
     ThetaLinear,
-    ThetaPoly,
     parse_rat,
-    poly_identity,
     rat_str,
     root_of_unity,
     tl_sign,
@@ -214,24 +212,6 @@ class TestTlSign:
         value = t.at(window.midpoint())
         if sign is not None and value != 0:
             assert (value > 0) == (sign == 1)
-
-
-class TestThetaPoly:
-    def test_identity_checking(self):
-        lhs = ThetaPoly((1, 2)) * ThetaPoly((3, -1))  # (1+2x)(3-x) = 3+5x-2x^2
-        assert poly_identity(lhs, ThetaPoly((3, 5, -2)))
-        assert not poly_identity(lhs, ThetaPoly((3, 5, -1)))
-        assert poly_identity(ThetaPoly((0, 0, 0)), ThetaPoly.constant(0))
-
-    def test_from_linear(self):
-        assert ThetaPoly.from_linear(ThetaLinear(2, -3)) == ThetaPoly((2, -3))
-        assert ThetaPoly.from_linear(ThetaLinear(2, 0)).degree() == 0
-
-    @given(st.lists(st.integers(-5, 5), max_size=4), st.lists(st.integers(-5, 5), max_size=4))
-    def test_ring_commutes(self, a, b):
-        pa, pb = ThetaPoly(tuple(a)), ThetaPoly(tuple(b))
-        assert pa * pb == pb * pa
-        assert pa + pb == pb + pa
 
 
 class TestRatText:

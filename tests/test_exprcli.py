@@ -7,6 +7,7 @@ from hypothesis import given
 
 from nctorus import ExprSyntaxError, ONE_MINUS_THETA, PhaseScalar, THETA, parse, unparse
 from nctorus.exactscalar import GaussRat
+from nctorus.exprcli import MAX_DEPTH
 from nctorus.ncalgebra import monomial, mul, one, zero
 
 from conftest import nc_elements
@@ -80,6 +81,14 @@ class TestErrors:
                 parse(text)
             assert err.value.position == pos, f"{text!r}: {err.value}"
             assert f"(at position {pos})" in str(err.value)
+
+    def test_nesting_bound(self):
+        deepest = "(" * MAX_DEPTH + "U" + ")" * MAX_DEPTH
+        assert parse(deepest) == mono(1, 0)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("(" + deepest + ")")
+        # the error points at the first parenthesis past the bound
+        assert err.value.position == MAX_DEPTH
 
 
 class TestUnparse:

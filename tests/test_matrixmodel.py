@@ -1,4 +1,4 @@
-"""Clock/shift matrices and the numerically solved intertwiner."""
+"""Clock/shift matrices and the closed-form Fourier intertwiner."""
 
 import math
 
@@ -8,14 +8,13 @@ from hypothesis import given, strategies as st
 
 from nctorus import (
     BadInput,
-    NoIntertwiner,
     clock,
     fourier_intertwiner,
     intertwiner_report,
     shift,
     verify_order_four,
 )
-from nctorus.matrixmodel import TOL, _solve_intertwiner, matrix_to_json
+from nctorus.matrixmodel import TOL, matrix_to_json
 
 
 def coprime_pairs(qmax):
@@ -63,14 +62,20 @@ class TestIntertwiner:
             assert rep.ok
             assert max(rep.resid_u, rep.resid_v, rep.resid_unitary) <= TOL
 
-    def test_matches_twisted_dft(self):
-        # the normalized solution is the finite Fourier matrix with the p-twist
-        for q, p in ((3, 1), (5, 2), (7, 3)):
-            w = fourier_intertwiner(q, p)
-            j, k = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-            dft = np.exp(2j * np.pi * p * j * k / q) / np.sqrt(q)
-            # same up to a global phase, which the pivot normalization fixes
-            assert np.max(np.abs(w - dft)) < 1e-9
+    def test_unique_solution_of_kronecker_system(self):
+        # W u = v W and W v = u* W stacked as one linear system in vec(W):
+        # rank q^2 - 1 says the solution is unique up to scale (a numeric
+        # witness of irreducibility), and W must lie in its null space
+        for q, p in coprime_pairs(6):
+            u, v = clock(q, p), shift(q)
+            eye = np.eye(q)
+            stacked = np.vstack([
+                np.kron(u.T, eye) - np.kron(eye, v),
+                np.kron(v.T, eye) - np.kron(eye, u.conj().T),
+            ])
+            assert np.linalg.matrix_rank(stacked) == q * q - 1, (q, p)
+            vec_w = fourier_intertwiner(q, p).reshape(-1, order="F")
+            assert np.linalg.norm(stacked @ vec_w) <= TOL, (q, p)
 
     def test_order_four(self):
         for q, p in ((2, 1), (5, 2), (9, 4)):
@@ -79,18 +84,6 @@ class TestIntertwiner:
     def test_trivial_dimension(self):
         rep = intertwiner_report(1, 1)
         assert rep.ok
-
-    def test_no_intertwiner_for_contradictory_system(self):
-        # demanding W u = v W and W v = u W (no adjoint) has no unitary solution
-        u, v = clock(3, 1), shift(3)
-        with pytest.raises(NoIntertwiner):
-            _solve_intertwiner(u, v, v, u)
-
-    def test_ambiguous_system_rejected(self):
-        # conjugating the clock alone leaves a q-dimensional solution space
-        u = clock(3, 1)
-        with pytest.raises(NoIntertwiner):
-            _solve_intertwiner(u, u, u, u)
 
     def test_report_json(self):
         obj = intertwiner_report(4, 3).to_json()

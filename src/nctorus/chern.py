@@ -12,6 +12,12 @@ pushing the universal section vector through the scaling morphism's
 transfer coefficients (plus the swap isomorphism for negative charge).
 The two routes agreeing is the point of crosscheck_closed_forms.
 
+The transfer laws are stated once each: gamma and nu by the GAMMA_SIGN and
+NU_LAW tables of traces, zeta by zeta_law here.  The element-level checks
+(traces.check_parity_flip, traces.check_nu_relations, verify_lemma_psizeta)
+and the vector maps (gamma_top, nu_transfer, zeta_transfer) read the same
+entries, so the law that is checked is the law certify uses.
+
 All five discrete values land in a lattice: p10, p11 in Z + Z(1-i)/2 and
 p20, p21 in Z/2, p22 in Z.  in_lattice checks this.
 """
@@ -21,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import BadInput
-from .exactscalar import GaussRat, PhaseScalar, RationalLike, ThetaLinear, as_fraction, rat_str
-from .ncalgebra import THETA, monomial, scaled_param, zeta
-from .traces import TraceKind, psi
+from .exactscalar import PS_ZERO, GaussRat, PhaseScalar, RationalLike, ThetaLinear, as_fraction, rat_str
+from .ncalgebra import monomial, scaled_param, zeta
+from .traces import GAMMA_SIGN, NU_LAW, UNBOUNDED_KINDS, TraceKind, _times, psi
 
 _HALF = Fraction(1, 2)
 HALF_ONE_MINUS_I = GaussRat(_HALF, -_HALF)
@@ -146,38 +152,84 @@ def _require_coprime(p: int, q: int) -> None:
         raise BadInput(f"parameters must be coprime, got ({p}, {q})")
 
 
-def top_eq_plus(p: int, q: int) -> ChernVector:
-    """Closed-form vector of the positively charged projection, trace q^2*theta - pq."""
-    _require_coprime(p, q)
-    dq = _d2(q)
-    dq1 = _d2(q - 1)
-    sign = _parity_sign(q // 2) if dq else 0
-    p10 = HALF_ONE_MINUS_I * (1 + sign * dq)
-    p11 = (HALF_ONE_MINUS_I * GaussRat.i_power(-p * q)) * dq1
-    p20 = _HALF + Fraction(3, 2) * dq
-    p21 = _HALF * _parity_sign(p) * dq1
-    p22 = Fraction(dq1)
-    return ChernVector(ThetaLinear(-p * q, q * q), _top(p10, p11, p20, p21, p22))
-
-
-def top_eb_minus(a: int, b: int) -> ChernVector:
-    """Closed-form vector of the negatively charged projection, trace ab - b^2*theta."""
+def _charged(a: int, b: int, corner: GaussRat, charge: int) -> ChernVector:
+    """Closed form shared by both charges, trace charge*(b^2*theta - ab)."""
     _require_coprime(a, b)
     db = _d2(b)
     db1 = _d2(b - 1)
     sign = _parity_sign(b // 2) if db else 0
-    p10 = HALF_ONE_PLUS_I * (1 + sign * db)
-    p11 = (HALF_ONE_PLUS_I * GaussRat.i_power(-a * b)) * db1
+    p10 = corner * (1 + sign * db)
+    p11 = (corner * GaussRat.i_power(-a * b)) * db1
     p20 = _HALF + Fraction(3, 2) * db
     p21 = _HALF * _parity_sign(a) * db1
     p22 = Fraction(db1)
-    return ChernVector(ThetaLinear(a * b, -b * b), _top(p10, p11, p20, p21, p22))
+    return ChernVector(ThetaLinear(-charge * a * b, charge * b * b), _top(p10, p11, p20, p21, p22))
+
+
+def top_eq_plus(p: int, q: int) -> ChernVector:
+    """Closed-form vector of the positively charged projection, trace q^2*theta - pq."""
+    return _charged(p, q, HALF_ONE_MINUS_I, 1)
+
+
+def top_eb_minus(a: int, b: int) -> ChernVector:
+    """Closed-form vector of the negatively charged projection, trace ab - b^2*theta."""
+    return _charged(a, b, HALF_ONE_PLUS_I, -1)
+
+
+def _components(t: TopVector) -> Dict[TraceKind, object]:
+    return dict(zip(UNBOUNDED_KINDS, (t.p10, t.p11, t.p20, t.p21, t.p22)))
+
+
+_ZEROS = _components(top_flat())
+
+
+def _from_components(values: Mapping[TraceKind, object]) -> TopVector:
+    return _top(*(values[kind] for kind in UNBOUNDED_KINDS))
 
 
 def gamma_top(v: ChernVector) -> ChernVector:
-    """Parity image: p11 and p22 flip sign, everything else (incl. trace) fixed."""
-    t = v.top
-    return ChernVector(v.trace, TopVector(t.p10, -t.p11, t.p20, t.p21, -t.p22))
+    """Parity image: each component times its GAMMA_SIGN; the trace is fixed."""
+    values = _components(v.top)
+    return ChernVector(v.trace, _from_components({kind: _times(values[kind], sign)
+                                                  for kind, sign in GAMMA_SIGN.items()}))
+
+
+ZetaRow = List[Tuple[TraceKind, object]]
+
+
+def zeta_law(nn: int, k: int) -> Dict[TraceKind, ZetaRow]:
+    """The five transfer equations of the scaling morphism U -> U^nn, V -> V^nn.
+
+    Row psi lists (source functional, coefficient) pairs: psi after zeta
+    equals the sum of coefficient * source functional, the source values
+    taken at parameter nn^2*theta - k and rebased into theta.  psi_11 and
+    psi_21 carry the factors i^-k and (-1)^k; for odd nn every functional
+    carries straight through, for even nn the odd-pattern functionals fold
+    into psi_10 and psi_20 and their own rows are empty.
+    """
+    if nn == 0:
+        raise BadInput("scaling index must be nonzero")
+    factor = {
+        TraceKind.t10: 1,
+        TraceKind.t11: GaussRat.i_power(-k),
+        TraceKind.t20: 1,
+        TraceKind.t21: _parity_sign(k),
+        TraceKind.t22: 1,
+    }
+    fold = {TraceKind.t11: TraceKind.t10, TraceKind.t21: TraceKind.t20, TraceKind.t22: TraceKind.t20}
+    rows: Dict[TraceKind, ZetaRow] = {kind: [] for kind in UNBOUNDED_KINDS}
+    for src, c in factor.items():
+        rows[src if nn % 2 else fold.get(src, src)].append((src, c))
+    return rows
+
+
+def _row_sum(row: ZetaRow, values: Mapping[TraceKind, object], zero):
+    """Sum of coefficient * values[source] over the row; zero when it is empty."""
+    total = None
+    for src, c in row:
+        term = _times(values[src], c)
+        total = term if total is None else total + term
+    return zero if total is None else total
 
 
 def zeta_transfer(v: ChernVector, nn: int, k: int) -> ChernVector:
@@ -185,98 +237,52 @@ def zeta_transfer(v: ChernVector, nn: int, k: int) -> ChernVector:
 
     v is the vector of an element of the algebra at parameter nn^2*theta - k,
     expressed in that algebra's own coordinate; the result is the vector of
-    its image, expressed in theta.  Coefficients follow the five transfer
-    equations: for even nn the odd-pattern functionals fold into the even
-    ones with factors i^-k and (-1)^k, for odd nn they carry straight
-    through with the same factors.
+    its image, expressed in theta, with components from zeta_law.
     """
-    if nn == 0:
-        raise BadInput("scaling index must be nonzero")
-    t = v.top
-    ik = GaussRat.i_power(-k)
-    sk = _parity_sign(k)
-    if nn % 2 == 0:
-        p10 = t.p10 + ik * t.p11
-        p11 = GaussRat(0)
-        p20 = t.p20 + sk * t.p21 + t.p22
-        p21 = Fraction(0)
-        p22 = Fraction(0)
-    else:
-        p10 = t.p10
-        p11 = ik * t.p11
-        p20 = t.p20
-        p21 = sk * t.p21
-        p22 = t.p22
+    law = zeta_law(nn, k)
+    values = _components(v.top)
     trace = ThetaLinear(v.trace.const - k * v.trace.slope, nn * nn * v.trace.slope)
-    return ChernVector(trace, _top(p10, p11, p20, p21, p22))
+    return ChernVector(trace, _from_components({kind: _row_sum(row, values, _ZEROS[kind])
+                                                for kind, row in law.items()}))
 
 
 def nu_transfer(v: ChernVector) -> ChernVector:
     """Push a self-adjoint element's vector through the generator swap.
 
     v lives over the complementary parameter 1-theta; the result lives over
-    theta.  On self-adjoint elements the adjoint functionals reduce to
-    plain conjugation, giving (conj p10, -i conj p11; p20, -p21, p22).
+    theta, with components from NU_LAW.  On self-adjoint elements the
+    adjoint functionals reduce to plain conjugation of the value.
     """
-    t = v.top
-    mi = GaussRat(0, -1)
+    values = _components(v.top)
     trace = ThetaLinear(v.trace.const + v.trace.slope, -v.trace.slope)
-    return ChernVector(
-        trace,
-        TopVector(t.p10.conjugate(), mi * t.p11.conjugate(), t.p20, -t.p21, t.p22),
-    )
-
-
-# (factor-function, uses-p11-fold) per kind is unwieldy; spell the five
-# transfer right-hand sides directly.
-def _transfer_rhs(kind: TraceKind, nn: int, k: int, parts: Dict[TraceKind, PhaseScalar]) -> PhaseScalar:
-    ik = GaussRat.i_power(-k)
-    sk = _parity_sign(k)
-    dn = _d2(nn)
-    dn1 = _d2(nn - 1)
-    if kind is TraceKind.t10:
-        out = parts[TraceKind.t10]
-        if dn:
-            out = out + parts[TraceKind.t11] * ik
-        return out
-    if kind is TraceKind.t11:
-        return parts[TraceKind.t11] * ik if dn1 else PhaseScalar.zero()
-    if kind is TraceKind.t20:
-        out = parts[TraceKind.t20]
-        if dn:
-            out = out + parts[TraceKind.t21] * sk + parts[TraceKind.t22]
-        return out
-    if kind is TraceKind.t21:
-        return parts[TraceKind.t21] * sk if dn1 else PhaseScalar.zero()
-    if kind is TraceKind.t22:
-        return parts[TraceKind.t22] if dn1 else PhaseScalar.zero()
-    raise ValueError(f"no transfer law for {kind}")
+    return ChernVector(trace, _from_components({
+        kind: _times(values[kind].conjugate() if adjoint else values[kind], factor)
+        for kind, (adjoint, factor) in NU_LAW.items()
+    }))
 
 
 def verify_lemma_psizeta(nn: int, k: int, window: int) -> bool:
-    """Exhaustive element-level check of the five transfer equations.
+    """Exhaustive element-level check of the five zeta_law transfer equations.
 
     For every monomial x = U^a V^b with |a|,|b| <= window in the source
     algebra at parameter nn^2*theta - k, the functional value of the
-    scaled image (computed in theta) must equal the transfer combination
+    scaled image (computed in theta) must equal the zeta_law combination
     of the source values rebased into theta.
     """
-    if nn == 0:
-        raise BadInput("scaling index must be nonzero")
+    law = zeta_law(nn, k)
     if window < 1:
         raise BadInput("window must be >= 1")
     src = scaled_param(nn, k)
     one = PhaseScalar.one()
     lam = nn * nn
     rng = range(-window, window + 1)
-    kinds = (TraceKind.t10, TraceKind.t11, TraceKind.t20, TraceKind.t21, TraceKind.t22)
     for a in rng:
         for b in rng:
             x = monomial(src, one, a, b)
             zx = zeta(nn, k, x)
-            parts = {kind: psi(kind, x).rebase(lam, -k) for kind in kinds}
-            for kind in kinds:
-                if psi(kind, zx) != _transfer_rhs(kind, nn, k, parts):
+            parts = {kind: psi(kind, x).rebase(lam, -k) for kind in UNBOUNDED_KINDS}
+            for kind, row in law.items():
+                if psi(kind, zx) != _row_sum(row, parts, PS_ZERO):
                     return False
     return True
 

@@ -9,10 +9,10 @@ domain errors.  Human-readable results go to standard output; pass
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .chern import (
@@ -239,6 +239,7 @@ def _add_kappa_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kappa2", default="1/2", help="slack 0 < kappa2 <= 1/2 (rational)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="nct",
@@ -358,7 +359,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR
     except (ChainFailure, IndeterminateSign) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+        code, payload = CHECK_FAILED, {"ok": False, "error": str(exc)}
     output = getattr(args, "output", None)
     if output and payload is not None:
         try:

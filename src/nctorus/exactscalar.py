@@ -16,9 +16,6 @@ from .errors import BadInput, DomainPhase
 
 RationalLike = Union[int, Fraction]
 
-#: sign-query results: +1, -1, 0, or None when the window does not decide
-SIGN_INDETERMINATE = None
-
 
 def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
@@ -31,6 +28,16 @@ def as_fraction(x: RationalLike) -> Fraction:
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "num/den" (denominator always explicit)."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def _accumulate(acc: dict, key, value) -> None:
+    """Add value into acc[key], dropping the key when the sum is zero."""
+    prev = acc.get(key)
+    s = value if prev is None else prev + value
+    if s:
+        acc[key] = s
+    elif prev is not None:
+        del acc[key]
 
 
 def parse_rat(text: str) -> Fraction:
@@ -78,6 +85,11 @@ class GaussRat:
 
     def __mul__(self, other) -> "GaussRat":
         if isinstance(other, GaussRat):
+            # unit coefficients dominate monomial products: skip four Fraction products
+            if other is GR_ONE:
+                return self
+            if self is GR_ONE:
+                return other
             return GaussRat(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
@@ -209,12 +221,7 @@ class PhaseScalar:
             return self
         acc = dict(self.terms)
         for r, c in other.terms.items():
-            prev = acc.get(r)
-            s = c if prev is None else prev + c
-            if s:
-                acc[r] = s
-            elif prev is not None:
-                del acc[r]
+            _accumulate(acc, r, c)
         return PhaseScalar._raw(acc)
 
     def __neg__(self) -> "PhaseScalar":
@@ -245,14 +252,7 @@ class PhaseScalar:
         acc: dict = {}
         for ra, ca in a.items():
             for rb, cb in b.items():
-                r = ra + rb
-                p = ca * cb
-                prev = acc.get(r)
-                s = p if prev is None else prev + p
-                if s:
-                    acc[r] = s
-                elif prev is not None:
-                    del acc[r]
+                _accumulate(acc, ra + rb, ca * cb)
         return PhaseScalar._raw(acc)
 
     __rmul__ = __mul__
@@ -277,17 +277,12 @@ class PhaseScalar:
         """
         lam = as_fraction(lam)
         mu = as_fraction(mu)
-        acc: dict = {}
-        for r, c in self.terms.items():
-            c2 = c * root_of_unity(mu * r)
-            r2 = lam * r
-            prev = acc.get(r2)
-            s = c2 if prev is None else prev + c2
-            if s:
-                acc[r2] = s
-            elif prev is not None:
-                del acc[r2]
-        return PhaseScalar._raw(acc)
+        if not lam:
+            # every phase collapses onto e(0): the image is one constant
+            total = sum((c * root_of_unity(mu * r) for r, c in self.terms.items()), GR_ZERO)
+            return PhaseScalar.from_gauss(total)
+        # r -> lam*r is injective for lam != 0, so no two terms merge
+        return PhaseScalar._raw({lam * r: c * root_of_unity(mu * r) for r, c in self.terms.items()})
 
     def as_constant(self) -> GaussRat:
         """The value as a GaussRat, valid only when no phase is present."""
@@ -321,15 +316,6 @@ class PhaseScalar:
 _F0 = Fraction(0)
 PS_ZERO = PhaseScalar._raw({})
 PS_ONE = PhaseScalar._raw({_F0: GR_ONE})
-
-
-def ps_mul(a: PhaseScalar, b: PhaseScalar) -> PhaseScalar:
-    """Product of formal phase sums: exponents add, coefficients multiply."""
-    return a * b
-
-
-def ps_conj(a: PhaseScalar) -> PhaseScalar:
-    return a.conjugate()
 
 
 class ThetaLinear:
@@ -444,4 +430,4 @@ def tl_sign(x: ThetaLinear, window: Interval) -> Optional[int]:
         return 1
     if v_lo <= 0 and v_hi <= 0:
         return -1
-    return SIGN_INDETERMINATE
+    return None

@@ -37,8 +37,9 @@ def _check_pair(q: int, p: int) -> None:
 
 
 def clock(q: int, p: int) -> CMatrix:
-    """Diagonal matrix with entries e(j*p/q), j = 0..q-1."""
+    """Diagonal matrix with entries e(j*p/q), j = 0..q-1; p is reduced mod q first."""
     _check_pair(q, p)
+    p %= q
     j = np.arange(q)
     return np.diag(np.exp(2j * np.pi * p * j / q))
 
@@ -57,10 +58,11 @@ def fourier_intertwiner(q: int, p: int) -> CMatrix:
     """The twisted finite Fourier matrix W_jk = e(p*j*k/q)/sqrt(q).
 
     W is unitary with W u W* = v and W v W* = u* for the (q, p) clock/shift
-    pair.  The exponent p*j*k is reduced mod q in integers first, so every
-    angle lies in [0, 2*pi).
+    pair.  p and the exponent p*j*k are reduced mod q in integers first, so
+    any integer p works and every angle lies in [0, 2*pi).
     """
     _check_pair(q, p)
+    p %= q
     j = np.arange(q)
     return np.exp(2j * np.pi * (p * np.outer(j, j) % q) / q) / math.sqrt(q)
 

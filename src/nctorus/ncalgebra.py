@@ -18,10 +18,10 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ParamMismatch
 from .exactscalar import (
-    GR_ONE,
     GaussRat,
     PhaseScalar,
     RationalLike,
+    _accumulate,
     as_fraction,
 )
 
@@ -113,12 +113,7 @@ class NCElement:
         _require_same_param(self, other)
         acc = dict(self.terms)
         for key, c in other.terms.items():
-            prev = acc.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                acc[key] = s
-            elif prev is not None:
-                del acc[key]
+            _accumulate(acc, key, c)
         return NCElement._raw(self.param, acc)
 
     def __neg__(self) -> "NCElement":
@@ -173,17 +168,11 @@ def mul(x: NCElement, y: NCElement) -> NCElement:
     acc: Dict[MonoKey, PhaseScalar] = {}
     for (a, b), cx in x.terms.items():
         for (c, d), cy in y.terms.items():
-            key = (a + c, b + d)
             coeff = cx * cy
             bc = b * c
             if bc:
                 coeff = coeff.shift(bc)
-            prev = acc.get(key)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                acc[key] = s
-            elif prev is not None:
-                del acc[key]
+            _accumulate(acc, (a + c, b + d), coeff)
     return NCElement._raw(x.param, acc)
 
 
@@ -233,20 +222,9 @@ def nu(x: NCElement) -> NCElement:
     """
     if x.param != ONE_MINUS_THETA:
         raise ParamMismatch(f"nu acts on parameter {ONE_MINUS_THETA}, got {x.param}")
-    acc: Dict[MonoKey, PhaseScalar] = {}
-    for (m, n), c in x.terms.items():
-        coeff = c.rebase(Fraction(-1), Fraction(1))
-        mn = m * n
-        if mn:
-            coeff = coeff.shift(mn)
-        key = (n, m)
-        prev = acc.get(key)
-        s = coeff if prev is None else prev + coeff
-        if s:
-            acc[key] = s
-        elif prev is not None:
-            del acc[key]
-    return NCElement._raw(THETA, acc)
+    lam, mu = Fraction(-1), Fraction(1)
+    # (m, n) -> (n, m) is injective, so no two terms merge
+    return NCElement._raw(THETA, {(n, m): c.rebase(lam, mu).shift(m * n) for (m, n), c in x.terms.items()})
 
 
 def zeta(nn: int, k: int, x: NCElement) -> NCElement:
@@ -263,14 +241,5 @@ def zeta(nn: int, k: int, x: NCElement) -> NCElement:
         raise ParamMismatch(f"zeta({nn},{k}) acts on parameter {expected}, got {x.param}")
     lam = Fraction(nn * nn)
     mu = Fraction(-k)
-    acc: Dict[MonoKey, PhaseScalar] = {}
-    for (m, n), c in x.terms.items():
-        coeff = c.rebase(lam, mu)
-        key = (nn * m, nn * n)
-        prev = acc.get(key)
-        s = coeff if prev is None else prev + coeff
-        if s:
-            acc[key] = s
-        elif prev is not None:
-            del acc[key]
-    return NCElement._raw(THETA, acc)
+    # nn != 0 makes (m, n) -> (nn*m, nn*n) injective, so no two terms merge
+    return NCElement._raw(THETA, {(nn * m, nn * n): c.rebase(lam, mu) for (m, n), c in x.terms.items()})

@@ -9,10 +9,15 @@ times pure phases in the element's own parameter symbol:
 
 and tau picks the (0, 0) coefficient.  All values are returned as full
 PhaseScalars; deciding whether a value is phase-free is the caller's
-business.  The check_* functions verify the structural laws (alpha-trace,
-invariance under the Fourier automorphism, parity behaviour, and the
-relations through the swap isomorphism nu) by exhaustive enumeration of
-monomial windows, which suffices because every delta pattern is 2-periodic.
+business.
+
+Each law is stated once, as a table keyed by TraceKind: _SUPPORT (the
+patterns above), SIGMA_POWER (psi is a sigma- or sigma^2-trace),
+GAMMA_SIGN (parity) and NU_LAW (the relations through the swap
+isomorphism nu).  The check_* functions verify the tables by exhaustive
+enumeration of monomial windows, which suffices because every delta
+pattern is 2-periodic; chern's vector maps read the same GAMMA_SIGN and
+NU_LAW entries, so the law that is checked is the law that is used.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import enum
 from fractions import Fraction
 from typing import Dict, List
 
-from .exactscalar import PS_ZERO, GaussRat, PhaseScalar, ps_conj
+from .exactscalar import PS_ZERO, GaussRat, PhaseScalar, _accumulate
 from .ncalgebra import (
     ONE_MINUS_THETA,
     THETA,
@@ -48,47 +53,59 @@ class TraceKind(enum.Enum):
 ALL_KINDS = tuple(TraceKind)
 UNBOUNDED_KINDS = (TraceKind.t10, TraceKind.t11, TraceKind.t20, TraceKind.t21, TraceKind.t22)
 
+_EVEN_SUM = frozenset({(0, 0), (1, 1)})
+_ODD_SUM = frozenset({(0, 1), (1, 0)})
+#: parity classes (m % 2, n % 2) each functional sees, and whether its phase
+#: is the quarter phase -(m+n)^2/4 (True) or the half phase -mn/2 (False)
+_SUPPORT = {
+    TraceKind.t10: (_EVEN_SUM, True),
+    TraceKind.t11: (_ODD_SUM, True),
+    TraceKind.t20: (frozenset({(0, 0)}), False),
+    TraceKind.t21: (frozenset({(1, 1)}), False),
+    TraceKind.t22: (_ODD_SUM, False),
+}
+
+#: psi(x y) = psi(sigma^power(y) x)
+SIGMA_POWER = {TraceKind.t10: 1, TraceKind.t11: 1, TraceKind.t20: 2, TraceKind.t21: 2, TraceKind.t22: 2}
+
+#: psi(gamma(x)) = sign * psi(x)
+GAMMA_SIGN = {TraceKind.t10: 1, TraceKind.t11: -1, TraceKind.t20: 1, TraceKind.t21: 1, TraceKind.t22: -1}
+
+#: psi(nu(x)) = factor * (psi^* if adjoint else psi)(x), with the right-hand
+#: side computed at parameter 1-theta and rebased to theta
+NU_LAW = {
+    TraceKind.t10: (True, 1),
+    TraceKind.t11: (True, GaussRat(0, -1)),
+    TraceKind.t20: (False, 1),
+    TraceKind.t21: (False, -1),
+    TraceKind.t22: (False, 1),
+}
+
+
+def _times(value, factor):
+    """value * factor, without the product when the factor is one."""
+    return value if factor == 1 else value * factor
+
 
 def psi(kind: TraceKind, x: NCElement) -> PhaseScalar:
     """Linear extension of the monomial trace formulas to x."""
-    acc: dict = {}
     if kind is TraceKind.tau:
         c = x.terms.get((0, 0))
         return c if c is not None else PS_ZERO
-    quarter = kind is TraceKind.t10 or kind is TraceKind.t11
+    classes, quarter = _SUPPORT[kind]
+    acc: dict = {}
     for (m, n), c in x.terms.items():
-        if kind is TraceKind.t10:
-            if (m - n) % 2:
-                continue
-        elif kind is TraceKind.t11:
-            if (m - n - 1) % 2:
-                continue
-        elif kind is TraceKind.t20:
-            if m % 2 or n % 2:
-                continue
-        elif kind is TraceKind.t21:
-            if (m - 1) % 2 or (n - 1) % 2:
-                continue
-        else:  # t22
-            if (m - n - 1) % 2:
-                continue
-        if quarter:
-            value = c.shift(Fraction(-(m + n) ** 2, 4))
-        else:
-            value = c.shift(Fraction(-m * n, 2))
-        for r, g in value.terms.items():
-            prev = acc.get(r)
-            s = g if prev is None else prev + g
-            if s:
-                acc[r] = s
-            elif prev is not None:
-                del acc[r]
+        if (m % 2, n % 2) not in classes:
+            continue
+        shift = Fraction(-(m + n) ** 2, 4) if quarter else Fraction(-m * n, 2)
+        for r, g in c.terms.items():
+            _accumulate(acc, r + shift, g)
     return PhaseScalar._raw(acc)
 
 
 def psi_star(kind: TraceKind, x: NCElement) -> PhaseScalar:
     """Hermitian adjoint functional: conjugate of psi on the adjoint element."""
-    return ps_conj(psi(kind, star(x)))
+    return psi(kind, star(x)).conjugate()
 
 
 def _monomials(window: int, param: Param = THETA) -> List[NCElement]:
@@ -125,55 +142,30 @@ def check_sigma_invariance(kind: TraceKind, window: int) -> bool:
 
 
 def check_parity_flip(window: int) -> bool:
-    """Parity flips exactly psi_11 and psi_22 and fixes the other three."""
+    """Exhaustive check of psi(gamma(x)) = GAMMA_SIGN[psi] * psi(x) on the window."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    flipped = (TraceKind.t11, TraceKind.t22)
-    fixed = (TraceKind.t10, TraceKind.t20, TraceKind.t21)
     for x in _monomials(window):
         gx = gamma(x)
-        for kind in flipped:
-            if psi(kind, gx) != -psi(kind, x):
-                return False
-        for kind in fixed:
-            if psi(kind, gx) != psi(kind, x):
+        for kind, sign in GAMMA_SIGN.items():
+            if psi(kind, gx) != _times(psi(kind, x), sign):
                 return False
     return True
 
 
-# Scalar factors relating psi^theta after nu to psi^(1-theta) before it;
-# None marks the two functionals that compose through the adjoint instead.
-_NU_FACTORS = {
-    TraceKind.t10: None,
-    TraceKind.t11: None,
-    TraceKind.t20: GaussRat(1),
-    TraceKind.t21: GaussRat(-1),
-    TraceKind.t22: GaussRat(1),
-}
-
-
 def check_nu_relations(window: int) -> bool:
-    """Exhaustive check of the five trace relations through nu.
+    """Exhaustive check of the five NU_LAW relations through nu on the window.
 
-    psi_10 nu = (psi_10)^*  and  psi_11 nu = -i (psi_11)^*  on the source
-    algebra, while psi_2j nu = (+1, -1, +1) psi_2j.  Right-hand sides are
-    computed in the source parameter 1-theta and rebased to theta for the
-    comparison.
+    Right-hand sides are computed in the source parameter 1-theta and
+    rebased to theta for the comparison.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    minus_i = GaussRat(0, -1)
     for x in _monomials(window, ONE_MINUS_THETA):
         nx = nu(x)
-        for kind, factor in _NU_FACTORS.items():
-            lhs = psi(kind, nx)
-            if factor is None:
-                rhs = psi_star(kind, x).rebase(-1, 1)
-                if kind is TraceKind.t11:
-                    rhs = rhs * minus_i
-            else:
-                rhs = psi(kind, x).rebase(-1, 1) * factor
-            if lhs != rhs:
+        for kind, (adjoint, factor) in NU_LAW.items():
+            rhs = (psi_star if adjoint else psi)(kind, x).rebase(-1, 1)
+            if psi(kind, nx) != _times(rhs, factor):
                 return False
     return True
 
@@ -181,11 +173,9 @@ def check_nu_relations(window: int) -> bool:
 def run_trace_suite(window: int = 6) -> Dict[str, bool]:
     """All trace-law checks at one window, keyed by law name."""
     results: Dict[str, bool] = {}
-    results["t10_sigma_trace"] = check_alpha_trace(TraceKind.t10, 1, window)
-    results["t11_sigma_trace"] = check_alpha_trace(TraceKind.t11, 1, window)
-    results["t20_sigma2_trace"] = check_alpha_trace(TraceKind.t20, 2, window)
-    results["t21_sigma2_trace"] = check_alpha_trace(TraceKind.t21, 2, window)
-    results["t22_sigma2_trace"] = check_alpha_trace(TraceKind.t22, 2, window)
+    for kind, power in SIGMA_POWER.items():
+        name = f"{kind.value}_sigma{'' if power == 1 else power}_trace"
+        results[name] = check_alpha_trace(kind, power, window)
     for kind in ALL_KINDS:
         results[f"{kind.value}_sigma_invariant"] = check_sigma_invariance(kind, window)
     results["parity_flip"] = check_parity_flip(window)

@@ -9,8 +9,12 @@ from nctorus import (
     BadInput,
     ChernVector,
     GaussRat,
+    SeedParams,
     ThetaLinear,
     TopVector,
+    TraceKind,
+    certify,
+    chern,
     chern_one,
     crosscheck_closed_forms,
     flat_vector,
@@ -23,6 +27,7 @@ from nctorus import (
     verify_lemma_psizeta,
     zeta_transfer,
 )
+from nctorus.traces import GAMMA_SIGN, NU_LAW, check_nu_relations, check_parity_flip
 
 F = Fraction
 HALF = F(1, 2)
@@ -182,3 +187,30 @@ class TestCrosscheck:
     def test_rejects_bad_charge(self):
         with pytest.raises((BadInput, ValueError)):
             crosscheck_closed_forms(1, 2, 0)
+
+
+class TestOneTableFeedsBothLevels:
+    # a wrong table entry must be caught by the element-level check and by
+    # the vector route alike, because both read that entry
+
+    def test_nu_law(self, monkeypatch):
+        monkeypatch.setitem(NU_LAW, TraceKind.t21, (False, 1))
+        assert not check_nu_relations(2)
+        assert not crosscheck_closed_forms(3, 7, -1)
+
+    def test_gamma_sign(self, monkeypatch):
+        monkeypatch.setitem(GAMMA_SIGN, TraceKind.t21, -1)
+        assert not check_parity_flip(2)
+        assert not certify(SeedParams(1, 3)).sum_ok
+
+    def test_zeta_law(self, monkeypatch):
+        law = chern.zeta_law
+
+        def negated_t21(nn, k):
+            rows = law(nn, k)
+            rows[TraceKind.t21] = [(src, -c) for src, c in rows[TraceKind.t21]]
+            return rows
+
+        monkeypatch.setattr(chern, "zeta_law", negated_t21)
+        assert not verify_lemma_psizeta(3, 1, 2)
+        assert not crosscheck_closed_forms(3, 7, 1)

@@ -21,12 +21,16 @@ class TestExitCodes:
         assert run(["traces", "eval", "--kind", "t10", "--expr", "(U"]) == 2
         assert run(["chern", "top", "--charge", "plus", "-p", "2", "-q", "4"]) == 2
 
-    def test_verification_failure_is_one(self):
-        # an admissible but extreme slack breaks the chain for a small seed
-        assert run(["gclass", "interval", "-k", "1", "-m", "3",
-                    "--kappa1", "99/100", "--kappa2", "1/2"]) == 1
-        assert run(["gclass", "certify", "-k", "1", "-m", "3",
-                    "--kappa1", "99/100", "--kappa2", "1/2"]) == 1
+    def test_verification_failure_is_one(self, tmp_path):
+        # an admissible but extreme slack breaks the chain for a small seed;
+        # the report is still written and says what failed
+        for command in ("interval", "certify"):
+            out = tmp_path / f"{command}.json"
+            assert run(["gclass", command, "-k", "1", "-m", "3",
+                        "--kappa1", "99/100", "--kappa2", "1/2", "-o", str(out)]) == 1
+            obj = json.loads(out.read_text())
+            assert obj["ok"] is False
+            assert obj["error"]
 
     def test_unwritable_report_is_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
@@ -97,6 +101,16 @@ class TestReports:
         captured = capsys.readouterr().out
         assert "ph(-1)" in captured
         assert json.loads(out.read_text())["value"] == "ph(-1)"
+
+
+    def test_p_beyond_int64_reduces_mod_q(self, tmp_path):
+        huge, small = tmp_path / "huge.json", tmp_path / "small.json"
+        assert run(["matrix", "verify", "-p", "100000000000000000001", "-q", "3",
+                    "--dump", "-o", str(huge)]) == 0
+        assert run(["matrix", "verify", "-p", "2", "-q", "3", "--dump", "-o", str(small)]) == 0
+        obj = json.loads(huge.read_text())
+        assert obj["p"] == 100000000000000000001
+        assert obj["matrix"] == json.loads(small.read_text())["matrix"]
 
 
 class TestOutputLines:

@@ -1,7 +1,7 @@
 """Exact verification toolkit for the order-four Fourier transform of the
 two-unitary rotation algebra.
 
-Subpackages by role:
+Modules by role:
 
 - exactscalar: Gaussian rationals, formal phase sums, linear theta forms,
   open rational intervals, and exact sign decisions on them.

@@ -107,23 +107,16 @@ def _cmd_gclass_certify(args) -> Tuple[int, Payload]:
             seed = cert.seed
             print(f"seed {seed.k}/{seed.m}: {'PASS' if cert.overall else 'FAIL'}")
             ok = ok and cert.overall
+        if certs:
+            widths = [cert.interval.width() for cert in certs]
+            print(f"narrowest window: {rat_str(min(widths))} ({float(min(widths)):.3e})")
+            print(f"widest window: {rat_str(max(widths))} ({float(max(widths)):.3e})")
         print(f"grid of {len(certs)} seeds: {'PASS' if ok else 'FAIL'}")
         return (0 if ok else CHECK_FAILED), {"certificates": [c.to_json() for c in certs], "ok": ok}
     if args.k is None or args.m is None:
         raise BadInput("certify needs either -k and -m or --grid MAX")
     cert = certify(_seed(args), kappas)
-    flat = {
-        **cert.identities,
-        **cert.chain,
-        "vector_sum": cert.sum_ok,
-        "tau0_formula": cert.tau0_formula_ok,
-        "tau0_positive": cert.tau0_positive,
-        "kappa2_below_s_over_B": cert.kappa2_below_s_over_B,
-        "split_identity": cert.lemma31.identity_ok,
-        "split_bound": cert.lemma31.bound_ok,
-        "flat_trace": cert.flat_trace_ok,
-    }
-    _print_results(flat)
+    _print_results(cert.checks())
     print(f"overall: {'PASS' if cert.overall else 'FAIL'}")
     return (0 if cert.overall else CHECK_FAILED), cert.to_json()
 
@@ -132,9 +125,10 @@ def _cmd_gclass_member(args) -> Tuple[int, Payload]:
     theta = parse_rat(args.theta)
     hits = member(theta, _kappas(args), args.kmax)
     for seed in hits:
-        print(f"seed {seed.k}/{seed.m}")
+        print(f"seed {seed.k}/{seed.m}" + ("" if seed.certifiable else " (not certifiable: m even)"))
     print(f"{len(hits)} seed(s) contain theta = {rat_str(theta)}")
-    return 0, {"theta": rat_str(theta), "seeds": [s.to_json() for s in hits]}
+    seeds = [{**s.to_json(), "certifiable": s.certifiable} for s in hits]
+    return 0, {"theta": rat_str(theta), "seeds": seeds}
 
 
 def _cmd_gclass_cover(args) -> Tuple[int, Payload]:
@@ -194,6 +188,10 @@ def _cmd_chern_lemma24(args) -> Tuple[int, Payload]:
     }
 
 
+def _worst(rep) -> float:
+    return max(rep.resid_u, rep.resid_v, rep.resid_unitary)
+
+
 def _cmd_matrix_verify(args) -> Tuple[int, Payload]:
     if args.sweep is not None:
         reports = []
@@ -205,9 +203,9 @@ def _cmd_matrix_verify(args) -> Tuple[int, Payload]:
                 rep = intertwiner_report(q, p)
                 reports.append(rep)
                 ok = ok and rep.ok
-                print(f"q={q} p={p}: worst residual "
-                      f"{max(rep.resid_u, rep.resid_v, rep.resid_unitary):.2e} "
-                      f"{'PASS' if rep.ok else 'FAIL'}")
+                print(f"q={q} p={p}: worst residual {_worst(rep):.2e} {'PASS' if rep.ok else 'FAIL'}")
+        if reports:
+            print(f"worst residual: {max(_worst(rep) for rep in reports):.3e}")
         print(f"sweep q <= {args.sweep}: {'PASS' if ok else 'FAIL'}")
         return (0 if ok else CHECK_FAILED), {"reports": [r.to_json() for r in reports], "ok": ok}
     rep = intertwiner_report(args.q, args.p)

@@ -6,7 +6,10 @@ divisibility identities, and an open rational interval
 
     ( (pq - kappa1)/q^2 , (rs + kappa2)/s^2 )
 
-pinched between the convergent-like fractions r/s and p/q.  Any theta in
+pinched between the convergent-like fractions r/s and p/q, themselves
+inside (2k/m - 1/(2m^2), 2k/m).  Those six rationals, lowest first, are
+the one statement of the chain: _chain_points builds the tuple, and
+chain_parts, interval, member and certify all read it.  Any theta in
 the interval admits the full decomposition certificate: the negatively
 charged projection vector for (p, q) plus the parity image of the
 positively charged vector for (r, s) plus a flat remainder of trace
@@ -36,11 +39,6 @@ from .exactscalar import (
 _HALF = Fraction(1, 2)
 
 
-def _lt(a: Fraction, b: Fraction) -> bool:
-    # exact integer cross-multiplication, no division
-    return a.numerator * b.denominator < b.numerator * a.denominator
-
-
 @dataclass(frozen=True)
 class SeedParams:
     """A reduced fraction k/m strictly inside (0, 1/2)."""
@@ -56,13 +54,18 @@ class SeedParams:
         if 2 * self.k >= self.m:
             raise BadSeed(f"seed must satisfy 2k < m, got ({self.k}, {self.m})")
 
+    @property
+    def certifiable(self) -> bool:
+        """True iff gcd(m, m - 2k) = 1, which for a reduced k/m means m odd."""
+        return self.m % 2 == 1
+
     def to_json(self) -> Dict[str, int]:
         return {"k": self.k, "m": self.m}
 
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """The seven derived integers; construction re-verifies their relations."""
+    """The seven derived integers; verify_identities states their relations."""
 
     n: int
     q: int
@@ -71,17 +74,6 @@ class DerivedParams:
     r: int
     A: int
     B: int
-
-    def __post_init__(self):
-        checks = (
-            self.p * self.s - self.q * self.r == 1,
-            self.s * self.A - self.B * self.r == 1,
-            2 * self.s == self.B + (self.s - self.q),  # 2s = B + 4m^2 with 4m^2 = s - q
-            self.s * self.s - self.q * self.q == (self.s - self.q) * self.B,
-            1 + self.r * self.s - self.p * self.q == (self.s - self.q) * self.A,
-        )
-        if not all(checks):
-            raise ValueError(f"derived parameters are internally inconsistent: {self}")
 
     def to_json(self) -> Dict[str, int]:
         return {"n": self.n, "q": self.q, "s": self.s, "p": self.p, "r": self.r, "A": self.A, "B": self.B}
@@ -126,9 +118,12 @@ def derive(seed: SeedParams) -> DerivedParams:
 
 def verify_identities(seed: SeedParams) -> List[Tuple[str, bool]]:
     """Evaluate the eight exact identities tying seed and derived integers."""
+    return _identities(seed, derive(seed))
+
+
+def _identities(seed: SeedParams, d: DerivedParams) -> List[Tuple[str, bool]]:
     k, m = seed.k, seed.m
-    d = derive(seed)
-    n, q, s, p, r, A, B = d.n, d.q, d.s, d.p, d.r, d.A, d.B
+    q, s, p, r, A, B = d.q, d.s, d.p, d.r, d.A, d.B
     m2 = m * m
     return [
         ("ps_qr_unimodular", p * s - q * r == 1),
@@ -145,24 +140,42 @@ def verify_identities(seed: SeedParams) -> List[Tuple[str, bool]]:
     ]
 
 
+_CHAIN_LINKS = (
+    "outer_lo_lt_rs",
+    "rs_lt_window_lo",
+    "window_lo_lt_window_hi",
+    "window_hi_lt_pq",
+    "pq_lt_outer_hi",
+)
+
+
+def _chain_points(seed: SeedParams, d: DerivedParams, kappas: Kappas) -> Tuple[Fraction, ...]:
+    """The six rationals the chain orders, lowest first; points 2 and 3 bound the window."""
+    k, m = seed.k, seed.m
+    return (
+        Fraction(4 * k * m - 1, 2 * m * m),
+        Fraction(d.r, d.s),
+        Fraction(d.p * d.q - kappas.k1, d.q * d.q),
+        Fraction(d.r * d.s + kappas.k2, d.s * d.s),
+        Fraction(d.p, d.q),
+        Fraction(2 * k, m),
+    )
+
+
+def _links(points: Tuple[Fraction, ...]) -> Dict[str, bool]:
+    return {name: lo < hi for name, lo, hi in zip(_CHAIN_LINKS, points, points[1:])}
+
+
+def _window(seed: SeedParams, chain: Dict[str, bool], points: Tuple[Fraction, ...]) -> Interval:
+    if not all(chain.values()):
+        failed = [name for name, ok in chain.items() if not ok]
+        raise ChainFailure(f"chain fails for seed ({seed.k}, {seed.m}): {', '.join(failed)}")
+    return Interval(points[2], points[3])
+
+
 def chain_parts(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Dict[str, bool]:
     """The five chain inequalities pinching the interval, each named."""
-    k, m = seed.k, seed.m
-    d = derive(seed)
-    q, s, p, r = d.q, d.s, d.p, d.r
-    lo_outer = Fraction(2 * k * m - _HALF, m * m)
-    rs = Fraction(r, s)
-    win_lo = Fraction(p * q - kappas.k1, q * q)
-    win_hi = Fraction(r * s + kappas.k2, s * s)
-    pq = Fraction(p, q)
-    hi_outer = Fraction(2 * k, m)
-    return {
-        "outer_lo_lt_rs": _lt(lo_outer, rs),
-        "rs_lt_window_lo": _lt(rs, win_lo),
-        "window_lo_lt_window_hi": _lt(win_lo, win_hi),
-        "window_hi_lt_pq": _lt(win_hi, pq),
-        "pq_lt_outer_hi": _lt(pq, hi_outer),
-    }
+    return _links(_chain_points(seed, derive(seed), kappas))
 
 
 def verify_chain(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> bool:
@@ -172,14 +185,8 @@ def verify_chain(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> bool:
 
 def interval(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Interval:
     """The seed's open interval; refuses to build one off a broken chain."""
-    parts = chain_parts(seed, kappas)
-    if not all(parts.values()):
-        failed = [name for name, ok in parts.items() if not ok]
-        raise ChainFailure(f"chain fails for seed ({seed.k}, {seed.m}): {', '.join(failed)}")
-    d = derive(seed)
-    lo = Fraction(d.p * d.q - kappas.k1, d.q * d.q)
-    hi = Fraction(d.r * d.s + kappas.k2, d.s * d.s)
-    return Interval(lo, hi)
+    points = _chain_points(seed, derive(seed), kappas)
+    return _window(seed, _links(points), points)
 
 
 def gdelta_cover(seeds: Sequence[SeedParams], kappas: Kappas = DEFAULT_KAPPAS) -> List[Interval]:
@@ -203,21 +210,20 @@ def seed_grid(max_km: int, odd_only: bool = True) -> List[SeedParams]:
 
 
 def member(theta: RationalLike, kappas: Kappas = DEFAULT_KAPPAS, kmax: int = 40) -> List[SeedParams]:
-    """All seeds with k, m <= kmax whose interval contains theta.
+    """All seeds with k, m <= kmax whose interval contains theta, by (m, k).
 
     theta is an exact rational stand-in for the irrational of interest.
-    Seeds whose chain fails under these kappas are skipped.
+    Seeds whose chain fails under these kappas are skipped.  Even-m seeds
+    are kept, since their intervals are part of the class, but they are
+    not certifiable (see SeedParams.certifiable): certify rejects them.
     """
     theta = as_fraction(theta)
     if not 0 < theta < 1:
         raise BadInput(f"theta must lie in (0, 1), got {theta}")
     hits: List[SeedParams] = []
     for seed in seed_grid(kmax, odd_only=False):
-        try:
-            window = interval(seed, kappas)
-        except ChainFailure:
-            continue
-        if window.contains(theta):
+        points = _chain_points(seed, derive(seed), kappas)
+        if points[2] < theta < points[3] and all(_links(points).values()):
             hits.append(seed)
     return hits
 
@@ -330,7 +336,24 @@ class Certificate:
     tau_f: ThetaLinear
     flat_trace_ok: bool
     lemma31: Lemma31Record
-    overall: bool
+
+    def checks(self) -> Dict[str, bool]:
+        """Every check the certificate makes, by name; overall is their conjunction."""
+        return {
+            **self.identities,
+            **self.chain,
+            "vector_sum": self.sum_ok,
+            "tau0_formula": self.tau0_formula_ok,
+            "tau0_positive": self.tau0_positive,
+            "kappa2_below_s_over_B": self.kappa2_below_s_over_B,
+            "split_identity": self.lemma31.identity_ok,
+            "split_bound": self.lemma31.bound_ok,
+            "flat_trace": self.flat_trace_ok,
+        }
+
+    @property
+    def overall(self) -> bool:
+        return all(self.checks().values())
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -368,15 +391,16 @@ def certify(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Certificate:
     certificate's overall flag is the conjunction of every check.
     """
     k, m = seed.k, seed.m
-    if math.gcd(m, m - 2 * k) != 1:
+    if not seed.certifiable:
         raise NotCoprime(
             f"seed ({k}, {m}) has gcd(m, m-2k) = {math.gcd(m, m - 2 * k)}; "
             "the modular splitting needs them coprime"
         )
     d = derive(seed)
-    identities = dict(verify_identities(seed))
-    chain = chain_parts(seed, kappas)
-    window = interval(seed, kappas)  # raises ChainFailure when the chain breaks
+    identities = dict(_identities(seed, d))
+    points = _chain_points(seed, d, kappas)
+    chain = _links(points)
+    window = _window(seed, chain, points)  # raises ChainFailure when the chain breaks
 
     minus_v = top_eb_minus(d.p, d.q)
     gplus_v = gamma_top(top_eq_plus(d.r, d.s))
@@ -387,7 +411,9 @@ def certify(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Certificate:
     sum_ok = total == expected
 
     m2 = m * m
-    tau0_formula_ok = tau0 == ThetaLinear(4 * m2 * d.A, -4 * m2 * d.B)
+    tau_g = ThetaLinear(m2 * d.A, -m2 * d.B)
+    tau_f = 4 * tau_g
+    tau0_formula_ok = tau_f == tau0  # 4m^2(A - B*theta), which is also the flat trace
     tau0_positive = tl_sign(ThetaLinear(d.A, -d.B), window) == 1
     kappa_route = kappas.k2 * d.B < d.s  # with 2s = B + 4m^2 this pins A - B*theta > 0
 
@@ -398,20 +424,6 @@ def certify(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Certificate:
     reflected = Interval(1 - window.hi, 1 - window.lo)
     rec = lemma31_arithmetic(m, m - 2 * k, t_comp, reflected)
 
-    tau_g = ThetaLinear(m2 * d.A, -m2 * d.B)
-    tau_f = 4 * tau_g
-    flat_trace_ok = tau_f == tau0
-
-    overall = (
-        all(identities.values())
-        and all(chain.values())
-        and sum_ok
-        and tau0_formula_ok
-        and tau0_positive
-        and kappa_route
-        and rec.ok
-        and flat_trace_ok
-    )
     return Certificate(
         seed=seed,
         derived=d,
@@ -431,9 +443,8 @@ def certify(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Certificate:
         kappa2_below_s_over_B=kappa_route,
         tau_g=tau_g,
         tau_f=tau_f,
-        flat_trace_ok=flat_trace_ok,
+        flat_trace_ok=tau0_formula_ok,
         lemma31=rec,
-        overall=overall,
     )
 
 

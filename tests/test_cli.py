@@ -1,9 +1,11 @@
 """The nct command line surface: exit codes, reports, output lines."""
 
+import dataclasses
 import json
 
+from nctorus import gclass
 from nctorus.cli import run
-from nctorus.matrixmodel import IntertwinerReport
+from nctorus.matrixmodel import TOL, IntertwinerReport
 
 
 class TestExitCodes:
@@ -31,6 +33,15 @@ class TestExitCodes:
             obj = json.loads(out.read_text())
             assert obj["ok"] is False
             assert obj["error"]
+
+    def test_identity_failure_is_reported(self, tmp_path, monkeypatch):
+        real = gclass.derive
+        monkeypatch.setattr(gclass, "derive", lambda seed: dataclasses.replace(real(seed), r=real(seed).r + 1))
+        out = tmp_path / "identities.json"
+        assert run(["gclass", "identities", "-k", "1", "-m", "3", "-o", str(out)]) == 1
+        obj = json.loads(out.read_text())
+        assert obj["ok"] is False
+        assert obj["identities"]["ps_qr_unimodular"] is False
 
     def test_unwritable_report_is_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
@@ -127,3 +138,33 @@ class TestOutputLines:
     def test_member_summary(self, capsys):
         run(["gclass", "member", "--theta", "1/2", "--kmax", "6"])
         assert "0 seed(s)" in capsys.readouterr().out
+
+    def test_member_flags_even_m(self, capsys, tmp_path):
+        # the midpoint of I(1/4), a seed whose interval is in the class but
+        # which certify rejects
+        out = tmp_path / "member.json"
+        theta = gclass.interval(gclass.SeedParams(1, 4)).midpoint()
+        assert run(["gclass", "member", "--theta", f"{theta.numerator}/{theta.denominator}",
+                    "--kmax", "4", "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "seed 1/4 (not certifiable: m even)"
+        assert json.loads(out.read_text())["seeds"] == [{"k": 1, "m": 4, "certifiable": False}]
+        theta = gclass.interval(gclass.SeedParams(1, 3)).midpoint()
+        run(["gclass", "member", "--theta", f"{theta.numerator}/{theta.denominator}", "-o", str(out)])
+        assert json.loads(out.read_text())["seeds"] == [{"k": 1, "m": 3, "certifiable": True}]
+
+    def test_grid_summary(self, capsys):
+        assert run(["gclass", "certify", "--grid", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [
+            "narrowest window: 3191961/35852814749284 (8.903e-08)",
+            "widest window: 44617/4801104100 (9.293e-06)",
+            "grid of 3 seeds: PASS",
+        ]
+
+    def test_sweep_summary(self, capsys):
+        assert run(["matrix", "verify", "--sweep", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "sweep q <= 3: PASS"
+        label, worst = lines[-2].split(": ")
+        assert label == "worst residual"
+        assert 0 < float(worst) < TOL

@@ -1,5 +1,6 @@
 """Seed family: derived integers, chains, membership, splitting, certificates."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -28,6 +29,7 @@ from nctorus import (
     verify_chain,
     verify_identities,
 )
+from nctorus import gclass
 from nctorus.gclass import chain_parts
 
 F = Fraction
@@ -180,6 +182,14 @@ class TestMember:
         theta = interval(seed, DEFAULT_KAPPAS).midpoint()
         assert seed in member(theta, DEFAULT_KAPPAS, kmax=3)
 
+    def test_even_m_seed_kept_but_not_certifiable(self):
+        theta = interval(SeedParams(1, 4), DEFAULT_KAPPAS).midpoint()
+        hits = member(theta, DEFAULT_KAPPAS, kmax=4)
+        assert hits == [SeedParams(1, 4)]
+        assert not hits[0].certifiable
+        with pytest.raises(NotCoprime):
+            certify(hits[0], DEFAULT_KAPPAS)
+
     def test_grid_sizes(self):
         assert len(seed_grid(5, odd_only=True)) == 3
         assert len(seed_grid(5, odd_only=False)) == 4
@@ -251,9 +261,50 @@ class TestCertify:
         assert len(certs) == len(seed_grid(7, odd_only=True))
         assert all(c.overall for c in certs)
 
+    def test_checks_in_print_order(self):
+        cert = certify(SeedParams(2, 5), DEFAULT_KAPPAS)
+        names = tuple(cert.checks())
+        assert names[:13] == IDENTITY_NAMES + CHAIN_LINKS
+        assert names[13:] == ("vector_sum", "tau0_formula", "tau0_positive", "kappa2_below_s_over_B",
+                              "split_identity", "split_bound", "flat_trace")
+
     def test_json_shape(self):
         obj = certify(SeedParams(1, 3), DEFAULT_KAPPAS).to_json()
         assert obj["seed"] == {"k": 1, "m": 3}
         assert obj["overall"] is True
         assert obj["vectors"]["sum_ok"] is True
         assert set(obj["lemma31"]) >= {"N", "M", "c", "d", "K", "L", "identity_ok"}
+
+
+class TestOneDerivationPerSeed:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        real = gclass.derive
+
+        def counting(seed):
+            counter.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(gclass, "derive", counting)
+        return counter
+
+    def test_certify_derives_once(self, calls):
+        certify(SeedParams(3, 11), DEFAULT_KAPPAS)
+        assert calls == [SeedParams(3, 11)]
+
+    def test_member_derives_each_scanned_seed_once(self, calls):
+        member(F(73, 1156), DEFAULT_KAPPAS, kmax=20)
+        assert calls == seed_grid(20, odd_only=False)
+        assert len(calls) == 63
+
+
+class TestIdentityFailuresReported:
+    def test_wrong_integer_fails_the_certificate(self, monkeypatch):
+        # a wrong A leaves the chain intact, so certify reaches every check
+        real = gclass.derive
+        monkeypatch.setattr(gclass, "derive", lambda seed: dataclasses.replace(real(seed), A=real(seed).A + 1))
+        cert = certify(SeedParams(3, 11), DEFAULT_KAPPAS)
+        assert cert.overall is False
+        assert cert.identities["sA_Br_unimodular"] is False
+        assert cert.to_json()["overall"] is False

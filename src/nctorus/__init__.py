@@ -98,7 +98,6 @@ from .matrixmodel import (
     fourier_intertwiner,
     intertwiner_report,
     shift,
-    verify_order_four,
 )
 from .exprcli import parse, unparse
 
@@ -173,7 +172,6 @@ __all__ = [
     "verify_chain",
     "verify_identities",
     "verify_lemma_psizeta",
-    "verify_order_four",
     "zero",
     "zeta",
     "zeta_transfer",

@@ -1,9 +1,11 @@
 """The nct command line tool.
 
-Exit codes: 0 when every requested check passes, 1 when a verification
-fails (any machine-readable report is still written), 2 on usage or
-domain errors.  Human-readable results go to standard output; pass
--o FILE to also write a JSON report.
+Each handler returns its JSON report and run sets the exit code by one
+rule: 1 iff the report's ok (overall, for a single certificate) is false,
+2 on usage or domain errors, else 0.  A ChainFailure or IndeterminateSign
+becomes the report {"ok": false, "error": ...}; an empty --grid or --sweep
+is a usage error; chern top's report carries ok.  Results print to
+standard output; -o FILE also writes the report, on failure too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .chern import (
     crosscheck_closed_forms,
@@ -48,18 +50,21 @@ from .gclass import (
 from .matrixmodel import intertwiner_report, fourier_intertwiner, matrix_to_json
 from .traces import TraceKind, psi, psi_star, run_trace_suite
 
-Payload = Optional[Dict[str, object]]
+Payload = Dict[str, object]
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _print_results(results: Dict[str, bool]) -> bool:
-    ok = True
-    for name, passed in results.items():
-        print(f"{name}: {'PASS' if passed else 'FAIL'}")
-        ok = ok and passed
-    return ok
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _checked(checks: Dict[str, bool]) -> bool:
+    """Print each named check as `name: PASS/FAIL`; the report's ok is their conjunction."""
+    for name, passed in checks.items():
+        print(f"{name}: {_verdict(passed)}")
+    return all(checks.values())
 
 
 def _kappas(args) -> Kappas:
@@ -70,68 +75,65 @@ def _seed(args) -> SeedParams:
     return SeedParams(args.k, args.m)
 
 
-def _cmd_gclass_derive(args) -> Tuple[int, Payload]:
+def _cmd_gclass_derive(args) -> Payload:
     d = derive(_seed(args))
     for name, value in d.to_json().items():
         print(f"{name} = {value}")
-    return 0, {"seed": _seed(args).to_json(), "derived": d.to_json()}
+    return {"seed": _seed(args).to_json(), "derived": d.to_json()}
 
 
-def _cmd_gclass_identities(args) -> Tuple[int, Payload]:
+def _cmd_gclass_identities(args) -> Payload:
     results = dict(verify_identities(_seed(args)))
-    ok = _print_results(results)
-    return (0 if ok else CHECK_FAILED), {"identities": results, "ok": ok}
+    return {"identities": results, "ok": _checked(results)}
 
 
-def _cmd_gclass_chain(args) -> Tuple[int, Payload]:
+def _cmd_gclass_chain(args) -> Payload:
     results = chain_parts(_seed(args), _kappas(args))
-    ok = _print_results(results)
-    return (0 if ok else CHECK_FAILED), {"chain": results, "ok": ok}
+    return {"chain": results, "ok": _checked(results)}
 
 
-def _cmd_gclass_interval(args) -> Tuple[int, Payload]:
+def _cmd_gclass_interval(args) -> Payload:
     iv = interval(_seed(args), _kappas(args))
     print(f"interval: ({rat_str(iv.lo)}, {rat_str(iv.hi)})")
     print(f"width: {rat_str(iv.width())}")
-    return 0, {"interval": iv.to_json(), "width": rat_str(iv.width())}
+    return {"interval": iv.to_json(), "width": rat_str(iv.width())}
 
 
-def _cmd_gclass_certify(args) -> Tuple[int, Payload]:
+def _cmd_gclass_certify(args) -> Payload:
     kappas = _kappas(args)
     if args.grid is not None:
         if args.k is not None or args.m is not None:
             raise BadInput("certify takes either -k and -m or --grid MAX, not both")
+        if args.grid < 3:
+            raise BadInput(f"--grid {args.grid} holds no seed; the smallest grid is --grid 3 (seed 1/3)")
         certs = certify_grid(args.grid, kappas)
-        ok = True
         for cert in certs:
-            seed = cert.seed
-            print(f"seed {seed.k}/{seed.m}: {'PASS' if cert.overall else 'FAIL'}")
-            ok = ok and cert.overall
-        if certs:
-            widths = [cert.interval.width() for cert in certs]
-            print(f"narrowest window: {rat_str(min(widths))} ({float(min(widths)):.3e})")
-            print(f"widest window: {rat_str(max(widths))} ({float(max(widths)):.3e})")
-        print(f"grid of {len(certs)} seeds: {'PASS' if ok else 'FAIL'}")
-        return (0 if ok else CHECK_FAILED), {"certificates": [c.to_json() for c in certs], "ok": ok}
+            print(f"seed {cert.seed.k}/{cert.seed.m}: {_verdict(cert.overall)}")
+        widths = [cert.interval.width() for cert in certs]
+        print(f"narrowest window: {rat_str(min(widths))} ({float(min(widths)):.3e})")
+        print(f"widest window: {rat_str(max(widths))} ({float(max(widths)):.3e})")
+        ok = all(cert.overall for cert in certs)
+        print(f"grid of {len(certs)} seeds: {_verdict(ok)}")
+        return {"certificates": [c.to_json() for c in certs], "ok": ok}
     if args.k is None or args.m is None:
         raise BadInput("certify needs either -k and -m or --grid MAX")
     cert = certify(_seed(args), kappas)
-    _print_results(cert.checks())
-    print(f"overall: {'PASS' if cert.overall else 'FAIL'}")
-    return (0 if cert.overall else CHECK_FAILED), cert.to_json()
+    _checked(cert.checks())
+    print(f"overall: {_verdict(cert.overall)}")
+    return cert.to_json()
 
 
-def _cmd_gclass_member(args) -> Tuple[int, Payload]:
+def _cmd_gclass_member(args) -> Payload:
     theta = parse_rat(args.theta)
     hits = member(theta, _kappas(args), args.kmax)
     for seed in hits:
         print(f"seed {seed.k}/{seed.m}" + ("" if seed.certifiable else " (not certifiable: m even)"))
     print(f"{len(hits)} seed(s) contain theta = {rat_str(theta)}")
     seeds = [{**s.to_json(), "certifiable": s.certifiable} for s in hits]
-    return 0, {"theta": rat_str(theta), "seeds": seeds}
+    return {"theta": rat_str(theta), "seeds": seeds}
 
 
-def _cmd_gclass_cover(args) -> Tuple[int, Payload]:
+def _cmd_gclass_cover(args) -> Payload:
     seeds = []
     for piece in args.seeds.split(","):
         frac = parse_rat(piece)
@@ -139,92 +141,77 @@ def _cmd_gclass_cover(args) -> Tuple[int, Payload]:
     ivs = gdelta_cover(seeds, _kappas(args))
     for seed, iv in zip(seeds, ivs):
         print(f"seed {seed.k}/{seed.m}: ({rat_str(iv.lo)}, {rat_str(iv.hi)})")
-    return 0, {"intervals": [iv.to_json() for iv in ivs]}
+    return {"intervals": [iv.to_json() for iv in ivs]}
 
 
-def _cmd_traces_check(args) -> Tuple[int, Payload]:
+def _cmd_traces_check(args) -> Payload:
     results = run_trace_suite(args.window)
-    ok = _print_results(results)
-    return (0 if ok else CHECK_FAILED), {"window": args.window, "results": results, "ok": ok}
+    return {"window": args.window, "results": results, "ok": _checked(results)}
 
 
-def _cmd_traces_eval(args) -> Tuple[int, Payload]:
+def _cmd_traces_eval(args) -> Payload:
     kind = TraceKind(args.kind)
     el = parse_expr(args.expr)
     value = psi_star(kind, el) if args.adjoint else psi(kind, el)
     print(str(value))
-    return 0, {"kind": args.kind, "expr": args.expr, "adjoint": args.adjoint, "value": str(value)}
+    return {"kind": args.kind, "expr": args.expr, "adjoint": args.adjoint, "value": str(value)}
 
 
-def _cmd_chern_top(args) -> Tuple[int, Payload]:
-    if args.charge == "plus":
-        v = top_eq_plus(args.p, args.q)
-    else:
-        v = top_eb_minus(args.p, args.q)
+def _cmd_chern_top(args) -> Payload:
+    v = (top_eq_plus if args.charge == "plus" else top_eb_minus)(args.p, args.q)
     print(str(v))
-    print(f"lattice: {'PASS' if v.top.in_lattice() else 'FAIL'}")
-    return 0, {"charge": args.charge, "p": args.p, "q": args.q, "vector": v.to_json()}
+    ok = _checked({"lattice": v.top.in_lattice()})
+    return {"charge": args.charge, "p": args.p, "q": args.q, "vector": v.to_json(), "ok": ok}
 
 
-def _cmd_chern_crosscheck(args) -> Tuple[int, Payload]:
+def _cmd_chern_crosscheck(args) -> Payload:
     results = {}
     if args.charge in ("plus", "both"):
         results["plus"] = crosscheck_closed_forms(args.p, args.q, 1)
     if args.charge in ("minus", "both"):
         results["minus"] = crosscheck_closed_forms(args.p, args.q, -1)
-    ok = _print_results(results)
-    return (0 if ok else CHECK_FAILED), {"p": args.p, "q": args.q, "results": results, "ok": ok}
+    return {"p": args.p, "q": args.q, "results": results, "ok": _checked(results)}
 
 
-def _cmd_chern_lemma24(args) -> Tuple[int, Payload]:
+def _cmd_chern_lemma24(args) -> Payload:
     ok = verify_lemma_psizeta(args.nn, args.kk, args.window)
-    print(f"transfer equations (nn={args.nn}, k={args.kk}, window={args.window}): "
-          f"{'PASS' if ok else 'FAIL'}")
-    return (0 if ok else CHECK_FAILED), {
-        "nn": args.nn,
-        "k": args.kk,
-        "window": args.window,
-        "ok": ok,
-    }
+    print(f"transfer equations (nn={args.nn}, k={args.kk}, window={args.window}): {_verdict(ok)}")
+    return {"nn": args.nn, "k": args.kk, "window": args.window, "ok": ok}
 
 
 def _worst(rep) -> float:
     return max(rep.resid_u, rep.resid_v, rep.resid_unitary)
 
 
-def _cmd_matrix_verify(args) -> Tuple[int, Payload]:
+def _cmd_matrix_verify(args) -> Payload:
     if args.sweep is not None:
-        reports = []
-        ok = True
-        for q in range(1, args.sweep + 1):
-            for p in range(1, q + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                rep = intertwiner_report(q, p)
-                reports.append(rep)
-                ok = ok and rep.ok
-                print(f"q={q} p={p}: worst residual {_worst(rep):.2e} {'PASS' if rep.ok else 'FAIL'}")
-        if reports:
-            print(f"worst residual: {max(_worst(rep) for rep in reports):.3e}")
-        print(f"sweep q <= {args.sweep}: {'PASS' if ok else 'FAIL'}")
-        return (0 if ok else CHECK_FAILED), {"reports": [r.to_json() for r in reports], "ok": ok}
+        if args.sweep < 1:
+            raise BadInput(f"--sweep {args.sweep} holds no pair; the smallest sweep is --sweep 1")
+        reports = [intertwiner_report(q, p) for q in range(1, args.sweep + 1)
+                   for p in range(1, q + 1) if math.gcd(p, q) == 1]
+        for rep in reports:
+            print(f"q={rep.q} p={rep.p}: worst residual {_worst(rep):.2e} {_verdict(rep.ok)}")
+        print(f"worst residual: {max(_worst(rep) for rep in reports):.3e}")
+        ok = all(rep.ok for rep in reports)
+        print(f"sweep q <= {args.sweep}: {_verdict(ok)}")
+        return {"reports": [r.to_json() for r in reports], "ok": ok}
     rep = intertwiner_report(args.q, args.p)
     print(f"resid WuW*-v     : {rep.resid_u:.3e}")
     print(f"resid WvW*-u*    : {rep.resid_v:.3e}")
     print(f"resid W*W-I      : {rep.resid_unitary:.3e}")
-    print(f"order four       : {'PASS' if rep.order_four_ok else 'FAIL'}")
-    print(f"overall          : {'PASS' if rep.ok else 'FAIL'}")
-    payload: Dict[str, object] = dict(rep.to_json())
+    print(f"order four       : {_verdict(rep.order_four_ok)}")
+    print(f"overall          : {_verdict(rep.ok)}")
+    payload: Payload = dict(rep.to_json())
     if args.dump:
         payload["matrix"] = matrix_to_json(fourier_intertwiner(args.q, args.p))
-    return (0 if rep.ok else CHECK_FAILED), payload
+    return payload
 
 
-def _cmd_expr_echo(args) -> Tuple[int, Payload]:
+def _cmd_expr_echo(args) -> Payload:
     el = parse_expr(args.expr)
     canonical = unparse(el)
     print(canonical)
-    return 0, {"input": args.expr, "canonical": canonical}
+    return {"input": args.expr, "canonical": canonical}
 
 
 def _add_seed_flags(sub: argparse.ArgumentParser) -> None:
@@ -351,15 +338,15 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        code, payload = args.handler(args)
+        payload = args.handler(args)
     except (BadInput, DomainPhase, ParamMismatch, ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ChainFailure, IndeterminateSign) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        code, payload = CHECK_FAILED, {"ok": False, "error": str(exc)}
+        payload = {"ok": False, "error": str(exc)}
     output = getattr(args, "output", None)
-    if output and payload is not None:
+    if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2)
@@ -368,7 +355,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return USAGE_ERROR
         print(f"report written to {output}")
-    return code
+    return 0 if payload.get("ok", payload.get("overall", True)) else CHECK_FAILED
 
 
 def main() -> None:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all nctorus modules.
 
-Every domain error derives from NCTError so the CLI can map them to
-exit code 2 uniformly.
+Every domain error derives from NCTError.  The CLI maps ChainFailure and
+IndeterminateSign, which mean a verification failed, to exit code 1 with
+a report that says ok false; every other NCTError is a usage or domain
+error and maps to exit code 2.
 """
 
 

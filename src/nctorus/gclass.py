@@ -228,6 +228,11 @@ def member(theta: RationalLike, kappas: Kappas = DEFAULT_KAPPAS, kmax: int = 40)
     return hits
 
 
+def _int_or_rat(x: Fraction):
+    """An integral x as a JSON int, any other as "num/den"."""
+    return int(x) if x.denominator == 1 else rat_str(x)
+
+
 @dataclass(frozen=True)
 class Lemma31Record:
     """Outcome of the modular-splitting arithmetic for one (N, M, t, window)."""
@@ -236,8 +241,8 @@ class Lemma31Record:
     M: int
     c: int
     d: int
-    K: int
-    L: int
+    K: Fraction
+    L: Fraction
     t: ThetaLinear
     identity_ok: bool
     positive_ok: bool
@@ -258,8 +263,8 @@ class Lemma31Record:
             "M": self.M,
             "c": self.c,
             "d": self.d,
-            "K": self.K,
-            "L": self.L,
+            "K": _int_or_rat(self.K),
+            "L": _int_or_rat(self.L),
             "t": self.t.to_json(),
             "identity_ok": self.identity_ok,
             "positive_ok": self.positive_ok,
@@ -286,9 +291,9 @@ def lemma31_arithmetic(N: int, M: int, t: ThetaLinear, window: Interval) -> Lemm
     c = pow(M, -1, N)
     d = (1 - c * M) // N
     mm, nn = t.const, t.slope
-    K_frac = M * nn + N * mm
-    L_frac = d * nn - c * mm
-    identity_ok = K_frac * ThetaLinear(d, c) + L_frac * ThetaLinear(-M, N) == t
+    K = M * nn + N * mm
+    L = d * nn - c * mm
+    identity_ok = K * ThetaLinear(d, c) + L * ThetaLinear(-M, N) == t
     sign_t = tl_sign(t, window)
     margin = ThetaLinear(Fraction(-M, 4), Fraction(N, 4)) - t
     sign_margin = tl_sign(margin, window)
@@ -302,8 +307,8 @@ def lemma31_arithmetic(N: int, M: int, t: ThetaLinear, window: Interval) -> Lemm
         M=M,
         c=c,
         d=d,
-        K=int(K_frac) if K_frac.denominator == 1 else K_frac,
-        L=int(L_frac) if L_frac.denominator == 1 else L_frac,
+        K=K,
+        L=L,
         t=t,
         identity_ok=identity_ok,
         positive_ok=sign_t == 1,

@@ -120,16 +120,6 @@ def _order_four_ok(w: CMatrix, u: CMatrix, v: CMatrix) -> bool:
     )
 
 
-def verify_order_four(q: int, p: int) -> bool:
-    """Conjugation by W squares to the adjoint map on generators, order four overall.
-
-    Checks W^2 u W^-2 = u*, W^2 v W^-2 = v*, fourth powers returning to u, v,
-    and W^4 being a scalar multiple of the identity, all within TOL.
-    """
-    _check_pair(q, p)
-    return _order_four_ok(fourier_intertwiner(q, p), clock(q, p), shift(q))
-
-
 def intertwiner_report(q: int, p: int) -> IntertwinerReport:
     """Build W once and measure every residual for one pair."""
     w = fourier_intertwiner(q, p)

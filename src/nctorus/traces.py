@@ -18,6 +18,9 @@ isomorphism nu).  The check_* functions verify the tables by exhaustive
 enumeration of monomial windows, which suffices because every delta
 pattern is 2-periodic; chern's vector maps read the same GAMMA_SIGN and
 NU_LAW entries, so the law that is checked is the law that is used.
+
+Every law check, chern.verify_lemma_psizeta included, walks the one
+monomial window _window, which alone rejects an empty window.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import enum
 from fractions import Fraction
 from typing import Dict, List
 
+from .errors import BadInput
 from .exactscalar import PS_ZERO, GaussRat, PhaseScalar, _accumulate
 from .ncalgebra import (
     ONE_MINUS_THETA,
@@ -108,7 +112,10 @@ def psi_star(kind: TraceKind, x: NCElement) -> PhaseScalar:
     return psi(kind, star(x)).conjugate()
 
 
-def _monomials(window: int, param: Param = THETA) -> List[NCElement]:
+def _window(window: int, param: Param = THETA) -> List[NCElement]:
+    """The unit monomials U^m V^n with |m|, |n| <= window at param, m outer."""
+    if window < 1:
+        raise BadInput(f"window must be >= 1, got {window}")
     rng = range(-window, window + 1)
     one = PhaseScalar.one()
     return [monomial(param, one, m, n) for m in rng for n in rng]
@@ -117,14 +124,10 @@ def _monomials(window: int, param: Param = THETA) -> List[NCElement]:
 def check_alpha_trace(kind: TraceKind, power: int, window: int) -> bool:
     """Exhaustive check of psi(xy) = psi(sigma^power(y) x) on the window."""
     if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    monos = _monomials(window)
+        raise BadInput(f"power must be 1 or 2, got {power}")
+    monos = _window(window)
     for y in monos:
-        ay = sigma(y)
-        if power == 2:
-            ay = sigma(ay)
+        ay = sigma(y) if power == 1 else sigma(sigma(y))
         for x in monos:
             if psi(kind, mul(x, y)) != psi(kind, mul(ay, x)):
                 return False
@@ -133,19 +136,12 @@ def check_alpha_trace(kind: TraceKind, power: int, window: int) -> bool:
 
 def check_sigma_invariance(kind: TraceKind, window: int) -> bool:
     """Exhaustive check of psi(sigma(x)) = psi(x) on the window."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    for x in _monomials(window):
-        if psi(kind, sigma(x)) != psi(kind, x):
-            return False
-    return True
+    return all(psi(kind, sigma(x)) == psi(kind, x) for x in _window(window))
 
 
 def check_parity_flip(window: int) -> bool:
     """Exhaustive check of psi(gamma(x)) = GAMMA_SIGN[psi] * psi(x) on the window."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    for x in _monomials(window):
+    for x in _window(window):
         gx = gamma(x)
         for kind, sign in GAMMA_SIGN.items():
             if psi(kind, gx) != _times(psi(kind, x), sign):
@@ -159,9 +155,7 @@ def check_nu_relations(window: int) -> bool:
     Right-hand sides are computed in the source parameter 1-theta and
     rebased to theta for the comparison.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    for x in _monomials(window, ONE_MINUS_THETA):
+    for x in _window(window, ONE_MINUS_THETA):
         nx = nu(x)
         for kind, (adjoint, factor) in NU_LAW.items():
             rhs = (psi_star if adjoint else psi)(kind, x).rebase(-1, 1)

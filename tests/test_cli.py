@@ -3,7 +3,7 @@
 import dataclasses
 import json
 
-from nctorus import gclass
+from nctorus import TopVector, gclass
 from nctorus.cli import run
 from nctorus.matrixmodel import TOL, IntertwinerReport
 
@@ -22,6 +22,23 @@ class TestExitCodes:
         assert run(["expr", "echo", "--expr", "U + +"]) == 2
         assert run(["traces", "eval", "--kind", "t10", "--expr", "(U"]) == 2
         assert run(["chern", "top", "--charge", "plus", "-p", "2", "-q", "4"]) == 2
+        assert run(["gclass", "certify", "--grid", "2"]) == 2
+        assert run(["matrix", "verify", "--sweep", "0"]) == 2
+        assert run(["traces", "check", "--window", "0"]) == 2
+        assert run(["chern", "lemma24", "--nn", "2", "--kk", "1", "--window", "0"]) == 2
+
+    def test_empty_batch_names_smallest_value(self, capsys):
+        assert run(["gclass", "certify", "--grid", "2"]) == 2
+        assert "--grid 3" in capsys.readouterr().err
+        assert run(["matrix", "verify", "--sweep", "0"]) == 2
+        assert "--sweep 1" in capsys.readouterr().err
+
+    def test_lattice_failure_is_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(TopVector, "in_lattice", lambda self: False)
+        out = tmp_path / "top.json"
+        assert run(["chern", "top", "--charge", "plus", "-p", "1", "-q", "2", "-o", str(out)]) == 1
+        assert "lattice: FAIL" in capsys.readouterr().out.splitlines()
+        assert json.loads(out.read_text())["ok"] is False
 
     def test_verification_failure_is_one(self, tmp_path):
         # an admissible but extreme slack breaks the chain for a small seed;

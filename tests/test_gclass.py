@@ -1,6 +1,7 @@
 """Seed family: derived integers, chains, membership, splitting, certificates."""
 
 import dataclasses
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -217,6 +218,14 @@ class TestLemma31:
         assert rec.identity_ok
         assert rec.positive_ok and rec.upper_ok and rec.bound_ok and rec.ok
         assert rec.trace_h == ThetaLinear(F(-15, 8), F(25, 8))
+
+    def test_fractional_split_serializes(self):
+        # the criterion-07 draw N=7, M=3, scale 2/9 splits t with K=0, L=2/9
+        window = Interval(F(3, 7) + F(1, 679), F(3, 7) + F(2, 679))
+        rec = lemma31_arithmetic(7, 3, ThetaLinear(F(-2, 3), F(14, 9)), window)
+        assert (rec.K, rec.L) == (0, F(2, 9))
+        obj = json.loads(json.dumps(rec.to_json()))
+        assert obj["K"] == 0 and obj["L"] == "2/9"
 
     def test_indeterminate_window_raises(self):
         # t crosses zero inside the window: no sign decision is possible

@@ -12,7 +12,6 @@ from nctorus import (
     fourier_intertwiner,
     intertwiner_report,
     shift,
-    verify_order_four,
 )
 from nctorus.matrixmodel import TOL, matrix_to_json
 
@@ -79,7 +78,7 @@ class TestIntertwiner:
 
     def test_order_four(self):
         for q, p in ((2, 1), (5, 2), (9, 4)):
-            assert verify_order_four(q, p)
+            assert intertwiner_report(q, p).order_four_ok
 
     def test_trivial_dimension(self):
         rep = intertwiner_report(1, 1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from nctorus import PhaseScalar, THETA, TraceKind, psi, psi_star
+from nctorus import BadInput, PhaseScalar, THETA, TraceKind, psi, psi_star, verify_lemma_psizeta
 from nctorus.exactscalar import PS_ONE, PS_ZERO, GaussRat
 from nctorus.ncalgebra import monomial, one
 from nctorus.traces import (
@@ -101,10 +101,21 @@ class TestLaws:
         assert check_alpha_trace(TraceKind.t20, 1, 2) is False
 
     def test_invalid_power_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadInput):
             check_alpha_trace(TraceKind.t10, 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadInput):
             check_alpha_trace(TraceKind.t10, 1, 0)
+
+    @pytest.mark.parametrize("check", [
+        lambda w: check_alpha_trace(TraceKind.t10, 1, w),
+        lambda w: check_sigma_invariance(TraceKind.t20, w),
+        check_parity_flip,
+        check_nu_relations,
+        lambda w: verify_lemma_psizeta(2, 1, w),
+    ], ids=["alpha_trace", "sigma_invariance", "parity_flip", "nu_relations", "lemma_psizeta"])
+    def test_empty_window_rejected(self, check):
+        with pytest.raises(BadInput, match="window must be >= 1, got 0"):
+            check(0)
 
     def test_sigma_invariance_small_window(self):
         for kind in ALL_KINDS:

@@ -82,7 +82,6 @@ from .gclass import (
     Lemma31Record,
     SeedParams,
     certify,
-    certify_grid,
     derive,
     gdelta_cover,
     interval,
@@ -132,7 +131,6 @@ __all__ = [
     "TopVector",
     "TraceKind",
     "certify",
-    "certify_grid",
     "chern_one",
     "clock",
     "crosscheck_closed_forms",

@@ -3,9 +3,10 @@
 Each handler returns its JSON report and run sets the exit code by one
 rule: 1 iff the report's ok (overall, for a single certificate) is false,
 2 on usage or domain errors, else 0.  A ChainFailure or IndeterminateSign
-becomes the report {"ok": false, "error": ...}; an empty --grid or --sweep
-is a usage error; chern top's report carries ok.  Results print to
-standard output; -o FILE also writes the report, on failure too.
+becomes the report {"ok": false, "error": ...}, or in a --grid that
+seed's entry; an empty --grid, --sweep or member --kmax is a usage error;
+chern top's report carries ok.  Results print to standard output; -o FILE
+also writes the report, on failure too.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from .gclass import (
     Kappas,
     SeedParams,
     certify,
-    certify_grid,
     chain_parts,
     derive,
     gdelta_cover,
     interval,
     member,
+    seed_grid,
     verify_identities,
 )
 from .matrixmodel import intertwiner_report, fourier_intertwiner, matrix_to_json
@@ -106,15 +107,24 @@ def _cmd_gclass_certify(args) -> Payload:
             raise BadInput("certify takes either -k and -m or --grid MAX, not both")
         if args.grid < 3:
             raise BadInput(f"--grid {args.grid} holds no seed; the smallest grid is --grid 3 (seed 1/3)")
-        certs = certify_grid(args.grid, kappas)
-        for cert in certs:
-            print(f"seed {cert.seed.k}/{cert.seed.m}: {_verdict(cert.overall)}")
-        widths = [cert.interval.width() for cert in certs]
-        print(f"narrowest window: {rat_str(min(widths))} ({float(min(widths)):.3e})")
-        print(f"widest window: {rat_str(max(widths))} ({float(max(widths)):.3e})")
-        ok = all(cert.overall for cert in certs)
-        print(f"grid of {len(certs)} seeds: {_verdict(ok)}")
-        return {"certificates": [c.to_json() for c in certs], "ok": ok}
+        entries: List[Payload] = []
+        widths = []
+        for seed in seed_grid(args.grid):
+            try:
+                cert = certify(seed, kappas)
+            except (ChainFailure, IndeterminateSign) as exc:
+                print(f"seed {seed.k}/{seed.m}: FAIL ({exc})")
+                entries.append({"seed": seed.to_json(), "ok": False, "error": str(exc)})
+                continue
+            print(f"seed {seed.k}/{seed.m}: {_verdict(cert.overall)}")
+            entries.append(cert.to_json())
+            widths.append(cert.interval.width())
+        if widths:
+            print(f"narrowest window: {rat_str(min(widths))} ({float(min(widths)):.3e})")
+            print(f"widest window: {rat_str(max(widths))} ({float(max(widths)):.3e})")
+        ok = all(entry.get("overall", False) for entry in entries)  # a FAIL entry has no overall
+        print(f"grid of {len(entries)} seeds: {_verdict(ok)}")
+        return {"certificates": entries, "ok": ok}
     if args.k is None or args.m is None:
         raise BadInput("certify needs either -k and -m or --grid MAX")
     cert = certify(_seed(args), kappas)
@@ -125,6 +135,8 @@ def _cmd_gclass_certify(args) -> Payload:
 
 def _cmd_gclass_member(args) -> Payload:
     theta = parse_rat(args.theta)
+    if args.kmax < 3:
+        raise BadInput(f"--kmax {args.kmax} holds no seed; the smallest bound is --kmax 3 (seed 1/3)")
     hits = member(theta, _kappas(args), args.kmax)
     for seed in hits:
         print(f"seed {seed.k}/{seed.m}" + ("" if seed.certifiable else " (not certifiable: m even)"))

@@ -9,7 +9,10 @@ divisibility identities, and an open rational interval
 pinched between the convergent-like fractions r/s and p/q, themselves
 inside (2k/m - 1/(2m^2), 2k/m).  Those six rationals, lowest first, are
 the one statement of the chain: _chain_points builds the tuple, and
-chain_parts, interval, member and certify all read it.  Any theta in
+chain_parts, interval, member and certify all read it.  Since the chain
+puts the interval inside (2k/m - 1/(2m^2), 2k/m), a theta in it has
+m*theta/2 in (k - 1/(4m), k): for each m only k = floor(m*theta/2) + 1
+can contain theta, and member tests just that seed.  Any theta in
 the interval admits the full decomposition certificate: the negatively
 charged projection vector for (p, q) plus the parity image of the
 positively charged vector for (r, s) plus a flat remainder of trace
@@ -194,35 +197,37 @@ def gdelta_cover(seeds: Sequence[SeedParams], kappas: Kappas = DEFAULT_KAPPAS) -
     return [interval(seed, kappas) for seed in seeds]
 
 
-def seed_grid(max_km: int, odd_only: bool = True) -> List[SeedParams]:
-    """All valid seeds with k, m <= max_km, sorted by (m, k).
+def seed_grid(max_km: int) -> List[SeedParams]:
+    """The certifiable seeds with m <= max_km, sorted by (m, k).
 
-    odd_only keeps only odd m, for which gcd(m, m-2k) = 1 is automatic.
+    These are the odd-m seeds, for which gcd(m, m-2k) = 1 is automatic.
     """
-    out: List[SeedParams] = []
-    for m in range(1, max_km + 1):
-        if odd_only and m % 2 == 0:
-            continue
-        for k in range(1, min(max_km, (m - 1) // 2) + 1):
-            if 2 * k < m and math.gcd(k, m) == 1:
-                out.append(SeedParams(k, m))
-    return out
+    return [SeedParams(k, m) for m in range(3, max_km + 1, 2)
+            for k in range(1, (m - 1) // 2 + 1) if math.gcd(k, m) == 1]
 
 
 def member(theta: RationalLike, kappas: Kappas = DEFAULT_KAPPAS, kmax: int = 40) -> List[SeedParams]:
     """All seeds with k, m <= kmax whose interval contains theta, by (m, k).
 
     theta is an exact rational stand-in for the irrational of interest.
-    Seeds whose chain fails under these kappas are skipped.  Even-m seeds
-    are kept, since their intervals are part of the class, but they are
-    not certifiable (see SeedParams.certifiable): certify rejects them.
+    Only one seed per m is tried: a chain-valid interval lies inside
+    (2k/m - 1/(2m^2), 2k/m), so a theta in it has m*theta/2 in
+    (k - 1/(4m), k) and k = floor(m*theta/2) + 1.  Seeds whose chain
+    fails under these kappas are skipped.  Even-m seeds are kept, since
+    their intervals are part of the class, but they are not certifiable
+    (see SeedParams.certifiable): certify rejects them.
     """
     theta = as_fraction(theta)
     if not 0 < theta < 1:
         raise BadInput(f"theta must lie in (0, 1), got {theta}")
     hits: List[SeedParams] = []
-    for seed in seed_grid(kmax, odd_only=False):
+    for m in range(3, kmax + 1):
+        k = m * theta.numerator // (2 * theta.denominator) + 1
+        if 2 * k >= m or math.gcd(k, m) != 1:
+            continue
+        seed = SeedParams(k, m)
         points = _chain_points(seed, derive(seed), kappas)
+        # the links force points[0] < theta < points[5], which is what pins k
         if points[2] < theta < points[3] and all(_links(points).values()):
             hits.append(seed)
     return hits
@@ -452,7 +457,3 @@ def certify(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Certificate:
         lemma31=rec,
     )
 
-
-def certify_grid(max_km: int, kappas: Kappas = DEFAULT_KAPPAS) -> List[Certificate]:
-    """Certificates for the whole odd-m grid, ordered by (m, k)."""
-    return [certify(seed, kappas) for seed in seed_grid(max_km, odd_only=True)]

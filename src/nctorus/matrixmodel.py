@@ -11,22 +11,25 @@ with W u W* = v and W v W* = u*.  W^2 is the index reversal j -> -j mod q,
 so conjugation by W has order four.  The report measures W against
 independently built u and v: both intertwining residuals, unitarity, and
 the order-four relations, as double-precision Frobenius norms against TOL.
+numpy is imported inside the functions that use it, so importing the
+package (and running any command but matrix verify) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List
 
 from .errors import BadInput
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    CMatrix = np.ndarray
+
 #: residual tolerance for all verification norms (double precision, q <= 64)
 TOL = 1e-9
-
-CMatrix = np.ndarray
 
 
 def _check_pair(q: int, p: int) -> None:
@@ -38,6 +41,7 @@ def _check_pair(q: int, p: int) -> None:
 
 def clock(q: int, p: int) -> CMatrix:
     """Diagonal matrix with entries e(j*p/q), j = 0..q-1; p is reduced mod q first."""
+    import numpy as np
     _check_pair(q, p)
     p %= q
     j = np.arange(q)
@@ -46,6 +50,7 @@ def clock(q: int, p: int) -> CMatrix:
 
 def shift(q: int) -> CMatrix:
     """Cyclic shift: entry 1 at (j, j+1 mod q); with clock u, vu = e(p/q) uv."""
+    import numpy as np
     if q < 1:
         raise BadInput(f"matrix size must be >= 1, got {q}")
     v = np.zeros((q, q), dtype=complex)
@@ -61,6 +66,7 @@ def fourier_intertwiner(q: int, p: int) -> CMatrix:
     pair.  p and the exponent p*j*k are reduced mod q in integers first, so
     any integer p works and every angle lies in [0, 2*pi).
     """
+    import numpy as np
     _check_pair(q, p)
     p %= q
     j = np.arange(q)
@@ -104,6 +110,7 @@ def _conj_by(w: CMatrix, x: CMatrix) -> CMatrix:
 
 
 def _order_four_ok(w: CMatrix, u: CMatrix, v: CMatrix) -> bool:
+    import numpy as np
     q = u.shape[0]
     u2 = _conj_by(w, _conj_by(w, u))
     v2 = _conj_by(w, _conj_by(w, v))
@@ -122,6 +129,7 @@ def _order_four_ok(w: CMatrix, u: CMatrix, v: CMatrix) -> bool:
 
 def intertwiner_report(q: int, p: int) -> IntertwinerReport:
     """Build W once and measure every residual for one pair."""
+    import numpy as np
     w = fourier_intertwiner(q, p)
     u = clock(q, p)
     v = shift(q)
@@ -140,4 +148,5 @@ def intertwiner_report(q: int, p: int) -> IntertwinerReport:
 
 def matrix_to_json(w: CMatrix) -> List[List[List[float]]]:
     """Dense dump as rows of [re, im] pairs."""
+    import numpy as np
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(w)]

@@ -2,7 +2,12 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import nctorus
 from nctorus import TopVector, gclass
 from nctorus.cli import run
 from nctorus.matrixmodel import TOL, IntertwinerReport
@@ -26,12 +31,15 @@ class TestExitCodes:
         assert run(["matrix", "verify", "--sweep", "0"]) == 2
         assert run(["traces", "check", "--window", "0"]) == 2
         assert run(["chern", "lemma24", "--nn", "2", "--kk", "1", "--window", "0"]) == 2
+        assert run(["gclass", "member", "--theta", "1/2", "--kmax", "0"]) == 2
 
     def test_empty_batch_names_smallest_value(self, capsys):
         assert run(["gclass", "certify", "--grid", "2"]) == 2
         assert "--grid 3" in capsys.readouterr().err
         assert run(["matrix", "verify", "--sweep", "0"]) == 2
         assert "--sweep 1" in capsys.readouterr().err
+        assert run(["gclass", "member", "--theta", "1/2", "--kmax", "0"]) == 2
+        assert "--kmax 3" in capsys.readouterr().err
 
     def test_lattice_failure_is_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(TopVector, "in_lattice", lambda self: False)
@@ -50,6 +58,22 @@ class TestExitCodes:
             obj = json.loads(out.read_text())
             assert obj["ok"] is False
             assert obj["error"]
+
+    def test_grid_lists_each_chain_failure(self, tmp_path, capsys):
+        # 99/100 breaks rs_lt_window_lo for all three seeds of the grid
+        out = tmp_path / "grid.json"
+        assert run(["gclass", "certify", "--grid", "5", "--kappa1", "99/100", "-o", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("seed ")]
+        assert [line.split(":")[0] for line in fails] == ["seed 1/3", "seed 1/5", "seed 2/5"]
+        assert all(": FAIL (chain fails for seed" in line for line in fails)
+        assert "grid of 3 seeds: FAIL" in lines
+        assert not any(line.startswith(("narrowest", "widest")) for line in lines)
+        obj = json.loads(out.read_text())
+        assert obj["ok"] is False
+        assert [entry["seed"] for entry in obj["certificates"]] == [{"k": 1, "m": 3}, {"k": 1, "m": 5},
+                                                                    {"k": 2, "m": 5}]
+        assert all(entry["ok"] is False and "rs_lt_window_lo" in entry["error"] for entry in obj["certificates"])
 
     def test_identity_failure_is_reported(self, tmp_path, monkeypatch):
         real = gclass.derive
@@ -94,6 +118,16 @@ class TestExitCodes:
         assert run(["chern", "lemma24", "--nn", "2", "--kk", "-1", "--window", "2"]) == 0
         assert run(["matrix", "verify", "-p", "1", "-q", "3"]) == 0
         assert run(["expr", "echo", "--expr", "V*U"]) == 0
+
+
+def test_numpy_stays_unloaded_outside_the_matrix_commands():
+    # a fresh interpreter, since this one may have loaded numpy already
+    code = ("import sys, nctorus.cli as cli; cli.run(['expr', 'echo', '--expr', 'U']); "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestReports:

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from nctorus import (
     BadInput,
@@ -20,7 +21,6 @@ from nctorus import (
     SeedParams,
     ThetaLinear,
     certify,
-    certify_grid,
     derive,
     gdelta_cover,
     interval,
@@ -56,9 +56,11 @@ IDENTITY_NAMES = (
 
 
 @st.composite
-def valid_seeds(draw, max_km: int = 15, odd_only: bool = False):
-    grid = seed_grid(max_km, odd_only=odd_only)
-    return draw(st.sampled_from(grid))
+def valid_seeds(draw, max_km: int = 15):
+    m = draw(st.integers(min_value=3, max_value=max_km))
+    k = draw(st.integers(min_value=1, max_value=(m - 1) // 2))
+    assume(gcd(k, m) == 1)
+    return SeedParams(k, m)
 
 
 class TestSeedValidation:
@@ -192,9 +194,50 @@ class TestMember:
             certify(hits[0], DEFAULT_KAPPAS)
 
     def test_grid_sizes(self):
-        assert len(seed_grid(5, odd_only=True)) == 3
-        assert len(seed_grid(5, odd_only=False)) == 4
-        assert len(seed_grid(40, odd_only=True)) == 158
+        assert len(seed_grid(5)) == 3
+        assert len(seed_grid(40)) == 158
+
+
+#: slack pairs for the scan comparison; 99/100 breaks the chain of small seeds
+SCAN_KAPPAS = [Kappas(F(3, 4), F(1, 2)), Kappas(F(99, 100), F(1, 2)), Kappas(F(51, 100), F(1, 2)),
+               Kappas(F(3, 4), F(1, 3)), Kappas(F(9, 10), F(1, 5))]
+SCAN_KMAX = [1, 2, 3, 4, 5, 6, 10, 20]
+
+
+def _scanned_intervals(kappas, kmax):
+    """Every valid seed with m <= kmax and its interval (None on a broken chain), by (m, k)."""
+    out = []
+    for m in range(1, kmax + 1):
+        for k in range(1, m):
+            if 2 * k < m and gcd(k, m) == 1:
+                seed = SeedParams(k, m)
+                ok = all(chain_parts(seed, kappas).values())
+                out.append((seed, interval(seed, kappas) if ok else None))
+    return out
+
+
+@pytest.mark.parametrize("kappas", SCAN_KAPPAS, ids=lambda kap: f"{kap.k1}-{kap.k2}")
+def test_member_matches_scan_of_every_seed(kappas):
+    table = _scanned_intervals(kappas, max(SCAN_KMAX))
+    # the default intervals also probe the windows of seeds whose chain these kappas break
+    thetas = []
+    for _, iv in table + _scanned_intervals(DEFAULT_KAPPAS, max(SCAN_KMAX)):
+        if iv is not None:
+            tiny = iv.width() / 1000
+            thetas += [iv.midpoint(), iv.lo, iv.hi, iv.lo + tiny, iv.hi - tiny]
+    thetas = list(dict.fromkeys(thetas))
+    rng = random.Random(10)
+    for _ in range(40):
+        den = rng.randrange(2, 10**6)
+        thetas.append(F(rng.randrange(1, den), den))
+    hits = 0
+    for theta in thetas:
+        for kmax in SCAN_KMAX:
+            want = [seed for seed, iv in table if seed.m <= kmax and iv is not None and iv.contains(theta)]
+            assert member(theta, kappas, kmax) == want, (theta, kmax)
+            hits += bool(want)
+    # at kmax 20 each midpoint and both points just inside hit their own seed
+    assert hits >= 3 * sum(iv is not None for _, iv in table)
 
 
 class TestLemma31:
@@ -266,9 +309,9 @@ class TestCertify:
             certify(SeedParams(1, 4), DEFAULT_KAPPAS)
 
     def test_grid(self):
-        certs = certify_grid(7, DEFAULT_KAPPAS)
-        assert len(certs) == len(seed_grid(7, odd_only=True))
-        assert all(c.overall for c in certs)
+        seeds = seed_grid(7)
+        assert len(seeds) == 6
+        assert all(certify(seed, DEFAULT_KAPPAS).overall for seed in seeds)
 
     def test_checks_in_print_order(self):
         cert = certify(SeedParams(2, 5), DEFAULT_KAPPAS)
@@ -304,8 +347,8 @@ class TestOneDerivationPerSeed:
 
     def test_member_derives_each_scanned_seed_once(self, calls):
         member(F(73, 1156), DEFAULT_KAPPAS, kmax=20)
-        assert calls == seed_grid(20, odd_only=False)
-        assert len(calls) == 63
+        assert calls == [SeedParams(1, m) for m in range(3, 21)]
+        assert len(calls) == 18
 
 
 class TestIdentityFailuresReported:

@@ -24,10 +24,11 @@ p20, p21 in Z/2, p22 in Z.  in_lattice checks this.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import BadInput
 from .exactscalar import PS_ZERO, GaussRat, RationalLike, ThetaLinear, as_fraction, rat_str
@@ -194,7 +195,7 @@ def gamma_top(v: ChernVector) -> ChernVector:
                                                   for kind, sign in GAMMA_SIGN.items()}))
 
 
-ZetaRow = List[Tuple[TraceKind, object]]
+ZetaRow = Tuple[Tuple[TraceKind, object], ...]
 
 
 def zeta_law(nn: int, k: int) -> Dict[TraceKind, ZetaRow]:
@@ -205,10 +206,17 @@ def zeta_law(nn: int, k: int) -> Dict[TraceKind, ZetaRow]:
     taken at parameter nn^2*theta - k and rebased into theta.  psi_11 and
     psi_21 carry the factors i^-k and (-1)^k; for odd nn every functional
     carries straight through, for even nn the odd-pattern functionals fold
-    into psi_10 and psi_20 and their own rows are empty.
+    into psi_10 and psi_20 and their own rows are empty.  The law depends
+    only on nn mod 2 and k mod 4; each call gets its own dict of the shared
+    tuple rows.
     """
     if nn == 0:
         raise BadInput("scaling index must be nonzero")
+    return dict(_zeta_rows(nn % 2, k % 4))
+
+
+@functools.cache
+def _zeta_rows(odd: int, k: int) -> Dict[TraceKind, ZetaRow]:
     factor = {
         TraceKind.t10: 1,
         TraceKind.t11: GaussRat.i_power(-k),
@@ -217,10 +225,10 @@ def zeta_law(nn: int, k: int) -> Dict[TraceKind, ZetaRow]:
         TraceKind.t22: 1,
     }
     fold = {TraceKind.t11: TraceKind.t10, TraceKind.t21: TraceKind.t20, TraceKind.t22: TraceKind.t20}
-    rows: Dict[TraceKind, ZetaRow] = {kind: [] for kind in UNBOUNDED_KINDS}
+    rows: Dict[TraceKind, list] = {kind: [] for kind in UNBOUNDED_KINDS}
     for src, c in factor.items():
-        rows[src if nn % 2 else fold.get(src, src)].append((src, c))
-    return rows
+        rows[src if odd else fold.get(src, src)].append((src, c))
+    return {kind: tuple(row) for kind, row in rows.items()}
 
 
 def _row_sum(row: ZetaRow, values: Mapping[TraceKind, object], zero):

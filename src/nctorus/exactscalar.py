@@ -5,16 +5,32 @@ Everything here is exact: Gaussian rationals, formal phase sums
 ``a + b*theta``, and open rational intervals used for sign decisions.
 ``theta`` is a formal symbol throughout; equality of phase sums is
 componentwise.  No floating point enters this module.
+
+The two scalar types under every law check hold plain ints, so their
+arithmetic makes no Fraction:
+
+- GaussRat is a triple (a, b, d) meaning (a + b*i)/d, with d > 0 and
+  gcd(a, b, d) = 1; one gcd call puts a result in that form.
+- PhaseScalar keeps its exponents as int keys k over one denominator den,
+  each exponent being k/den, with den > 0 and gcd(den, *keys) = 1.
+
+Both forms are unique, so equality and hashing compare ints.  ``.re`` and
+``.im`` of a GaussRat and ``.terms`` of a PhaseScalar give the Fraction
+view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import BadInput, DomainPhase
 
 RationalLike = Union[int, Fraction]
+
+_new = object.__new__
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -23,6 +39,14 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _num_den(x: RationalLike) -> Tuple[int, int]:
+    """x as (numerator, denominator) ints, denominator > 0, lowest terms."""
+    if type(x) is int:
+        return x, 1
+    x = as_fraction(x)
+    return x.numerator, x.denominator
 
 
 def rat_str(x: Fraction) -> str:
@@ -49,59 +73,82 @@ def parse_rat(text: str) -> Fraction:
 
 
 class GaussRat:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d held as three ints in lowest terms."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        # Fraction keeps lowest terms / positive denominator for us.
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re = as_fraction(re)
+            im = as_fraction(im)
+            dr, di = re.denominator, im.denominator
+            d = lcm(dr, di)
+            # both parts are in lowest terms, so over their lcm gcd(a, b, d) = 1
+            a, b = re.numerator * (d // dr), im.numerator * (d // di)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_D(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _gr(self._a + other._a, self._b + other._b, d)
+        return _gr(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other) -> "GaussRat":
         if isinstance(other, GaussRat):
-            # unit coefficients dominate monomial products: skip four Fraction products
+            # unit coefficients dominate monomial products
             if other is GR_ONE:
                 return self
             if self is GR_ONE:
                 return other
-            return GaussRat(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(self.re * other, self.im * other)
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _gr(a * c - b * e, a * e + b * c, self._d * other._d)
+        if isinstance(other, int):
+            return _gr(self._a * other, self._b * other, self._d)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _gr(self._a * n, self._b * n, self._d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     @staticmethod
     def i_power(e: int) -> "GaussRat":
@@ -111,15 +158,11 @@ class GaussRat:
     def __str__(self) -> str:
         # Grammar-compatible text; sums print as "a + b*i" (no binary minus
         # exists in the grammar, so negatives ride on the rational literal).
-        if not self.im:
-            return _short_rat(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            return f"{_short_rat(self.im)}*i"
-        if self.im == 1:
-            return f"{_short_rat(self.re)} + i"
-        return f"{_short_rat(self.re)} + {_short_rat(self.im)}*i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _short_rat(a, d)
+        im = "i" if b == d else f"{_short_rat(b, d)}*i"
+        return f"{_short_rat(a, d)} + {im}" if a else im
 
     def __repr__(self) -> str:
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -132,8 +175,32 @@ class GaussRat:
         return GaussRat(parse_rat(obj["re"]), parse_rat(obj["im"]))
 
 
-def _short_rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+_SET_A = GaussRat._a.__set__
+_SET_B = GaussRat._b.__set__
+_SET_D = GaussRat._d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d for any d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussRat)
+    _SET_A(z, a)
+    _SET_B(z, b)
+    _SET_D(z, d)
+    return z
+
+
+def _short_rat(num: int, den: int) -> str:
+    """num/den, den > 0, as grammar text in lowest terms: "n" or "n/d"."""
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 GR_ZERO = GaussRat(0, 0)
@@ -142,46 +209,50 @@ GR_I = GaussRat(0, 1)
 _I_POWERS = (GR_ONE, GR_I, GaussRat(-1, 0), GaussRat(0, -1))
 
 
+def _quarter_root(num: int, den: int) -> GaussRat:
+    """e(num/den) for den > 0; DomainPhase unless 4*num/den is an integer."""
+    four_s, rem = divmod(4 * num, den)
+    if rem:
+        s = Fraction(num, den)
+        raise DomainPhase(f"e({s}) is not a Gaussian rational (4*{s} is not an integer)")
+    return _I_POWERS[four_s % 4]
+
+
 def root_of_unity(s: RationalLike) -> GaussRat:
     """e(s) for quarter-integer s, i.e. i**(4s mod 4).
 
     Raises DomainPhase when 4s is not an integer: the value would leave
     the Gaussian rationals and we refuse to widen the coefficient field.
     """
-    s = as_fraction(s)
-    four_s = 4 * s
-    if four_s.denominator != 1:
-        raise DomainPhase(f"e({s}) is not a Gaussian rational (4*{s} is not an integer)")
-    return GaussRat.i_power(four_s.numerator)
+    return _quarter_root(*_num_den(s))
 
 
 class PhaseScalar:
     """Finite formal sum ``sum_r c_r * e(theta*r)`` with GaussRat c_r.
 
-    The exponent-to-coefficient map is canonical: no zero coefficients
-    are stored and exponents are reduced Fractions.  Equality is
-    componentwise; theta is never evaluated.
+    The exponents are int keys k over the scalar's one denominator den,
+    r = k/den, in lowest terms (gcd(den, *keys) = 1, den = 1 when empty),
+    and no zero coefficient is stored.  Equality is componentwise; theta
+    is never evaluated.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_den", "_keys")
 
     def __init__(self, terms: Optional[Mapping[Fraction, GaussRat]] = None):
-        clean: dict = {}
-        if terms:
-            for r, c in terms.items():
-                if c:
-                    clean[as_fraction(r)] = c
-        object.__setattr__(self, "terms", clean)
+        items = [(as_fraction(r), c) for r, c in terms.items() if c] if terms else []
+        den = lcm(*(r.denominator for r, _ in items))
+        # each exponent is in lowest terms, so over their lcm gcd(den, *keys) = 1
+        _SET_DEN(self, den)
+        _SET_KEYS(self, {r.numerator * (den // r.denominator): c for r, c in items})
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseScalar is immutable")
 
-    @staticmethod
-    def _raw(terms: dict) -> "PhaseScalar":
-        # internal: terms must already be canonical
-        ps = PhaseScalar.__new__(PhaseScalar)
-        object.__setattr__(ps, "terms", terms)
-        return ps
+    @property
+    def terms(self) -> Mapping[Fraction, GaussRat]:
+        """Read-only map from each exponent, a reduced Fraction, to its coefficient."""
+        den = self._den
+        return MappingProxyType({Fraction(k, den): c for k, c in self._keys.items()})
 
     @staticmethod
     def zero() -> "PhaseScalar":
@@ -193,80 +264,124 @@ class PhaseScalar:
 
     @staticmethod
     def from_gauss(c: GaussRat) -> "PhaseScalar":
-        return PhaseScalar._raw({_F0: c}) if c else PS_ZERO
+        return _ps_raw(1, {0: c}) if c else PS_ZERO
 
     @staticmethod
     def phase(r: RationalLike, coeff: GaussRat = GR_ONE) -> "PhaseScalar":
         """coeff * e(theta*r)."""
-        return PhaseScalar._raw({as_fraction(r): coeff}) if coeff else PS_ZERO
+        if not coeff:
+            return PS_ZERO
+        num, den = _num_den(r)
+        return _ps_raw(den, {num: coeff})
+
+    @staticmethod
+    def sum_shifted(parts: Sequence[Tuple["PhaseScalar", int]], den: int) -> "PhaseScalar":
+        """The sum of c * e(theta*s/den) over the (c, s) pairs, s an int."""
+        out = lcm(den, *(c._den for c, _ in parts))
+        step = out // den
+        acc: dict = {}
+        for c, s in parts:
+            s *= step
+            scale = out // c._den
+            for k, g in c._keys.items():
+                _accumulate(acc, k * scale + s, g)
+        return _ps(out, acc)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._keys)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PhaseScalar):
-            return self.terms == other.terms
+            return self._den == other._den and self._keys == other._keys
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._keys.items())))
 
     def __add__(self, other: "PhaseScalar") -> "PhaseScalar":
-        if not self.terms:
+        a, b = self._keys, other._keys
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        acc = dict(self.terms)
-        for r, c in other.terms.items():
-            _accumulate(acc, r, c)
-        return PhaseScalar._raw(acc)
+        da, db = self._den, other._den
+        if da == db:
+            den, acc = da, dict(a)
+            for k, c in b.items():
+                _accumulate(acc, k, c)
+        else:
+            den = lcm(da, db)
+            sa, sb = den // da, den // db
+            acc = {k * sa: c for k, c in a.items()}
+            for k, c in b.items():
+                _accumulate(acc, k * sb, c)
+        return _ps(den, acc)
 
     def __neg__(self) -> "PhaseScalar":
-        return PhaseScalar._raw({r: -c for r, c in self.terms.items()})
+        return _ps_raw(self._den, {k: -c for k, c in self._keys.items()})
 
     def __sub__(self, other: "PhaseScalar") -> "PhaseScalar":
         return self + (-other)
 
     def __mul__(self, other) -> "PhaseScalar":
-        if isinstance(other, (GaussRat, int, Fraction)):
-            if isinstance(other, GaussRat):
-                g = other
-            else:
-                g = GaussRat(other)
-            if not g:
-                return PS_ZERO
-            return PhaseScalar._raw({r: c * g for r, c in self.terms.items()})
-        if not isinstance(other, PhaseScalar):
-            return NotImplemented
-        a, b = self.terms, other.terms
+        if type(other) is not PhaseScalar:
+            if isinstance(other, (GaussRat, int, Fraction)):
+                g = other if isinstance(other, GaussRat) else GaussRat(other)
+                if not g:
+                    return PS_ZERO
+                return _ps_raw(self._den, {k: c * g for k, c in self._keys.items()})
+            if not isinstance(other, PhaseScalar):
+                return NotImplemented
+        if other is PS_ONE:
+            return self
+        if self is PS_ONE:
+            return other
+        return self.mul_shift(other, 0)
+
+    def mul_shift(self, other: "PhaseScalar", n: int) -> "PhaseScalar":
+        """self * other * e(theta*n) for an int n, in one pass over the terms."""
+        a, b = self._keys, other._keys
         if not a or not b:
             return PS_ZERO
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        sa, sb = den // da, den // db
+        n *= den
         if len(a) == 1 and len(b) == 1:
-            (ra, ca), = a.items()
-            (rb, cb), = b.items()
-            prod = ca * cb
-            return PhaseScalar._raw({ra + rb: prod}) if prod else PS_ZERO
+            (ka, ca), = a.items()
+            (kb, cb), = b.items()
+            # a product of nonzero Gaussian rationals is nonzero
+            return _ps(den, {ka * sa + kb * sb + n: ca * cb})
+        bs = [(kb * sb + n, cb) for kb, cb in b.items()]
         acc: dict = {}
-        for ra, ca in a.items():
-            for rb, cb in b.items():
-                _accumulate(acc, ra + rb, ca * cb)
-        return PhaseScalar._raw(acc)
+        for ka, ca in a.items():
+            ka *= sa
+            for kb, cb in bs:
+                _accumulate(acc, ka + kb, ca * cb)
+        return _ps(den, acc)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "PhaseScalar":
         """Complex conjugation: coefficients conjugate, exponents negate."""
-        return PhaseScalar._raw({-r: c.conjugate() for r, c in self.terms.items()})
+        return _ps_raw(self._den, {-k: c.conjugate() for k, c in self._keys.items()})
 
     def shift(self, r: RationalLike) -> "PhaseScalar":
         """Multiply by the pure phase e(theta*r): exponents translate by r."""
-        r = as_fraction(r)
-        if not r:
+        num, rden = _num_den(r)
+        if not num:
             return self
-        return PhaseScalar._raw({k + r: c for k, c in self.terms.items()})
+        den = self._den
+        if rden == 1:
+            # gcd(den, k + num*den) = gcd(den, k): the form stays reduced
+            s = num * den
+            return _ps_raw(den, {k + s: c for k, c in self._keys.items()})
+        out = lcm(den, rden)
+        scale, s = out // den, num * (out // rden)
+        return _ps(out, {k * scale + s: c for k, c in self._keys.items()})
 
     def rebase(self, lam: RationalLike, mu: RationalLike) -> "PhaseScalar":
         """Reinterpret phases from the symbol lam*theta + mu into base theta.
@@ -275,47 +390,81 @@ class PhaseScalar:
         integer-translation factor e(mu*r) must be a quarter-integer root
         of unity, otherwise DomainPhase is raised.
         """
-        lam = as_fraction(lam)
-        mu = as_fraction(mu)
-        if not lam:
+        lam_num, lam_den = _num_den(lam)
+        mu_num, mu_den = _num_den(mu)
+        den = self._den
+        # e(mu*r) = e(mu_num*k / (mu_den*den)) for r = k/den
+        root_den = mu_den * den
+        keys = self._keys
+        if not lam_num:
             # every phase collapses onto e(0): the image is one constant
-            total = sum((c * root_of_unity(mu * r) for r, c in self.terms.items()), GR_ZERO)
+            total = GR_ZERO
+            for k, c in keys.items():
+                total = total + c * _quarter_root(mu_num * k, root_den)
             return PhaseScalar.from_gauss(total)
-        # r -> lam*r is injective for lam != 0, so no two terms merge
-        return PhaseScalar._raw({lam * r: c * root_of_unity(mu * r) for r, c in self.terms.items()})
+        # k -> lam*k is injective for lam != 0, so no two terms merge
+        if not mu_num:
+            return _ps(lam_den * den, {lam_num * k: c for k, c in keys.items()})
+        return _ps(lam_den * den, {lam_num * k: c * _quarter_root(mu_num * k, root_den) for k, c in keys.items()})
 
     def as_constant(self) -> GaussRat:
         """The value as a GaussRat, valid only when no phase is present."""
-        if not self.terms:
+        keys = self._keys
+        if not keys:
             return GR_ZERO
-        if len(self.terms) == 1 and _F0 in self.terms:
-            return self.terms[_F0]
+        if len(keys) == 1 and 0 in keys:
+            return keys[0]
         raise DomainPhase(f"{self} carries a nontrivial phase")
 
     def __str__(self) -> str:
-        if not self.terms:
+        keys = self._keys
+        if not keys:
             return "0"
         pieces = []
-        for r in sorted(self.terms):
-            c = self.terms[r]
-            cs = str(c)
-            if r == 0:
+        for k in sorted(keys):
+            cs = str(keys[k])
+            if k == 0:
                 pieces.append(cs)
-            elif cs == "1":
-                pieces.append(f"ph({_short_rat(r)})")
+                continue
+            r = _short_rat(k, self._den)
+            if cs == "1":
+                pieces.append(f"ph({r})")
             elif ("+" in cs) or ("*" in cs):
-                pieces.append(f"({cs})*ph({_short_rat(r)})")
+                pieces.append(f"({cs})*ph({r})")
             else:
-                pieces.append(f"{cs}*ph({_short_rat(r)})")
+                pieces.append(f"{cs}*ph({r})")
         return " + ".join(pieces)
 
     def __repr__(self) -> str:
         return f"<PhaseScalar {self}>"
 
 
-_F0 = Fraction(0)
-PS_ZERO = PhaseScalar._raw({})
-PS_ONE = PhaseScalar._raw({_F0: GR_ONE})
+_SET_DEN = PhaseScalar._den.__set__
+_SET_KEYS = PhaseScalar._keys.__set__
+
+
+def _ps_raw(den: int, keys: dict) -> PhaseScalar:
+    """A PhaseScalar owning keys, which must already be over the reduced den."""
+    ps = _new(PhaseScalar)
+    _SET_DEN(ps, den)
+    _SET_KEYS(ps, keys)
+    return ps
+
+
+def _ps(den: int, keys: dict) -> PhaseScalar:
+    """A PhaseScalar owning keys over any den > 0, brought to lowest terms."""
+    if not keys:
+        return PS_ZERO
+    if den != 1:
+        g = gcd(den, *keys)
+        if g != 1:
+            den //= g
+            keys = {k // g: c for k, c in keys.items()}
+    return _ps_raw(den, keys)
+
+
+PS_ZERO = _ps_raw(1, {})
+PS_ONE = _ps_raw(1, {0: GR_ONE})
 
 
 class ThetaLinear:

@@ -13,7 +13,6 @@ the reparametrizing morphisms nu and zeta convert them back to base theta.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ParamMismatch
@@ -90,9 +89,9 @@ class NCElement:
 
     @staticmethod
     def _raw(param: Param, terms: Dict[MonoKey, PhaseScalar]) -> "NCElement":
-        el = NCElement.__new__(NCElement)
-        object.__setattr__(el, "param", param)
-        object.__setattr__(el, "terms", terms)
+        el = _new(NCElement)
+        _SET_PARAM(el, param)
+        _SET_TERMS(el, terms)
         return el
 
     def __eq__(self, other) -> bool:
@@ -142,8 +141,13 @@ class NCElement:
         return f"<NCElement[{self.param}] {self}>"
 
 
+_new = object.__new__
+_SET_PARAM = NCElement.param.__set__
+_SET_TERMS = NCElement.terms.__set__
+
+
 def _require_same_param(x: NCElement, y: NCElement) -> None:
-    if x.param != y.param:
+    if x.param is not y.param and x.param != y.param:
         raise ParamMismatch(f"parameters differ: {x.param} vs {y.param}")
 
 
@@ -165,14 +169,15 @@ def monomial(param: Param, c: PhaseScalar, m: int, n: int) -> NCElement:
 def mul(x: NCElement, y: NCElement) -> NCElement:
     """Product under V^b U^c = e(param)^(b*c) U^c V^b, result canonical."""
     _require_same_param(x, y)
+    if len(x.terms) == 1 and len(y.terms) == 1:
+        # monomial times monomial, the law checks' only shape: one product, never zero
+        ((a, b), cx), = x.terms.items()
+        ((c, d), cy), = y.terms.items()
+        return NCElement._raw(x.param, {(a + c, b + d): cx.mul_shift(cy, b * c)})
     acc: Dict[MonoKey, PhaseScalar] = {}
     for (a, b), cx in x.terms.items():
         for (c, d), cy in y.terms.items():
-            coeff = cx * cy
-            bc = b * c
-            if bc:
-                coeff = coeff.shift(bc)
-            _accumulate(acc, (a + c, b + d), coeff)
+            _accumulate(acc, (a + c, b + d), cx.mul_shift(cy, b * c))
     return NCElement._raw(x.param, acc)
 
 
@@ -222,9 +227,8 @@ def nu(x: NCElement) -> NCElement:
     """
     if x.param != ONE_MINUS_THETA:
         raise ParamMismatch(f"nu acts on parameter {ONE_MINUS_THETA}, got {x.param}")
-    lam, mu = Fraction(-1), Fraction(1)
     # (m, n) -> (n, m) is injective, so no two terms merge
-    return NCElement._raw(THETA, {(n, m): c.rebase(lam, mu).shift(m * n) for (m, n), c in x.terms.items()})
+    return NCElement._raw(THETA, {(n, m): c.rebase(-1, 1).shift(m * n) for (m, n), c in x.terms.items()})
 
 
 def zeta(nn: int, k: int, x: NCElement) -> NCElement:
@@ -239,7 +243,6 @@ def zeta(nn: int, k: int, x: NCElement) -> NCElement:
     expected = scaled_param(nn, k)
     if x.param != expected:
         raise ParamMismatch(f"zeta({nn},{k}) acts on parameter {expected}, got {x.param}")
-    lam = Fraction(nn * nn)
-    mu = Fraction(-k)
+    lam = nn * nn
     # nn != 0 makes (m, n) -> (nn*m, nn*n) injective, so no two terms merge
-    return NCElement._raw(THETA, {(nn * m, nn * n): c.rebase(lam, mu) for (m, n), c in x.terms.items()})
+    return NCElement._raw(THETA, {(nn * m, nn * n): c.rebase(lam, -k) for (m, n), c in x.terms.items()})

@@ -26,11 +26,10 @@ monomial window _window, which alone rejects an empty window.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Dict, List
 
 from .errors import BadInput
-from .exactscalar import PS_ZERO, GaussRat, PhaseScalar, _accumulate
+from .exactscalar import PS_ZERO, GaussRat, PhaseScalar
 from .ncalgebra import (
     ONE_MINUS_THETA,
     THETA,
@@ -97,14 +96,9 @@ def psi(kind: TraceKind, x: NCElement) -> PhaseScalar:
         c = x.terms.get((0, 0))
         return c if c is not None else PS_ZERO
     classes, quarter = _SUPPORT[kind]
-    acc: dict = {}
-    for (m, n), c in x.terms.items():
-        if (m % 2, n % 2) not in classes:
-            continue
-        shift = Fraction(-(m + n) ** 2, 4) if quarter else Fraction(-m * n, 2)
-        for r, g in c.terms.items():
-            _accumulate(acc, r + shift, g)
-    return PhaseScalar._raw(acc)
+    # the phase -(m+n)^2/4 or -mn/2, as a numerator over 4
+    return PhaseScalar.sum_shifted([(c, -(m + n) ** 2 if quarter else -2 * m * n)
+                                    for (m, n), c in x.terms.items() if (m % 2, n % 2) in classes], 4)
 
 
 def psi_star(kind: TraceKind, x: NCElement) -> PhaseScalar:

@@ -157,6 +157,17 @@ class TestTransfers:
         with pytest.raises(BadInput):
             zeta_transfer(top_E(), 0, 1)
 
+    def test_zeta_law_depends_on_residues_and_callers_cannot_change_it(self):
+        law = chern.zeta_law(3, 1)
+        assert law == chern.zeta_law(-5, 9)  # nn odd, k = 1 mod 4
+        assert law != chern.zeta_law(3, 3) and law != chern.zeta_law(2, 1)
+        assert law[TraceKind.t21] == ((TraceKind.t21, -1),)
+        assert all(isinstance(row, tuple) for row in law.values())
+        law[TraceKind.t21] = ()
+        assert chern.zeta_law(3, 1)[TraceKind.t21] == ((TraceKind.t21, -1),)
+        with pytest.raises(BadInput):
+            chern.zeta_law(0, 1)
+
     def test_nu_transfer_on_section(self):
         out = nu_transfer(top_E())
         assert out.trace == ThetaLinear(1, -1)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nctorus
 from nctorus import TopVector, gclass
 from nctorus.cli import run
@@ -120,14 +122,29 @@ class TestExitCodes:
         assert run(["expr", "echo", "--expr", "V*U"]) == 0
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this checkout's nctorus."""
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_numpy_stays_unloaded_outside_the_matrix_commands():
     # a fresh interpreter, since this one may have loaded numpy already
     code = ("import sys, nctorus.cli as cli; cli.run(['expr', 'echo', '--expr', 'U']); "
             "assert 'numpy' not in sys.modules, 'numpy was imported'")
-    src = str(Path(nctorus.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["nctorus", "nctorus.cli"])
+def test_python_m_runs_the_cli(module):
+    proc = _fresh_python("-m", module, "gclass", "derive", "-k", "1", "-m", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "q = 169" in proc.stdout.splitlines()
+    proc = _fresh_python("-m", module, "gclass", "derive", "-k", "1", "-m", "3", "--bogus")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 class TestReports:

@@ -228,3 +228,134 @@ class TestRatText:
         for bad in ("", "1/0", "1/-2", "x"):
             with pytest.raises(BadInput):
                 parse_rat(bad)
+
+
+class TestCanonicalForm:
+    # one value, one stored form: equality and hashing compare ints
+
+    @given(phase_scalars())
+    def test_terms_round_trip(self, x):
+        y = PhaseScalar(x.terms)
+        assert y == x and hash(y) == hash(x)
+        assert all(isinstance(r, Fraction) and isinstance(c, GaussRat) for r, c in x.terms.items())
+
+    def test_terms_is_read_only(self):
+        x = PhaseScalar.phase(F(1, 2))
+        with pytest.raises(TypeError):
+            x.terms[F(1, 2)] = GR_I
+        assert x == PhaseScalar.phase(F(1, 2))
+
+    def test_routes_to_one_value_agree(self):
+        ph = PhaseScalar.phase
+        pairs = [
+            (ph(F(1, 4)).shift(F(1, 4)), ph(F(1, 2))),
+            ((ph(F(1, 4)) + ph(F(3, 4))) * ph(F(1, 4)), ph(F(1, 2)) + ph(1)),
+            ((ph(F(1, 4)) + ph(1)) - ph(F(1, 4)), ph(1)),
+            (ph(F(1, 3)) * ph(F(2, 3)), ph(1)),
+            (ph(F(1, 2)).rebase(2, 0), ph(1)),
+            (ph(F(3, 2)).rebase(F(1, 3), 0), ph(F(1, 2))),
+        ]
+        for got, want in pairs:
+            assert got == want and hash(got) == hash(want)
+            assert got.terms == want.terms
+
+    def test_gauss_rat_forms(self):
+        a = GaussRat(F(2, 4), F(1, 2))
+        assert a == GaussRat(F(1, 2), F(1, 2)) and hash(a) == hash(GaussRat(F(1, 2), F(1, 2)))
+        # (1 + i)/2 * (1 - i) = 1: the product's triple is reduced
+        assert a * GaussRat(1, -1) == GR_ONE and hash(a * GaussRat(1, -1)) == hash(GR_ONE)
+        assert GaussRat(3, 0) == 3 and GaussRat(3, 0) == Fraction(3)
+        assert GaussRat(F(3, 2)) == F(3, 2) and GaussRat(F(3, 2)) != 1
+        assert GaussRat(F(1, 2), 1) != F(1, 2)
+        assert (a.re, a.im) == (F(1, 2), F(1, 2))
+        assert isinstance(a.re, Fraction) and isinstance(GaussRat(3).im, Fraction)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            GR_I.re = 1
+        with pytest.raises(AttributeError):
+            PS_ONE.terms = {}
+
+    def test_text_and_json(self):
+        # the strings the Fraction-based kernel printed for the same values
+        ph = PhaseScalar.phase
+        h = GaussRat(F(1, 2), F(-1, 2))
+        x = (ph(F(1, 4)) + ph(F(3, 4), h)) * ph(F(1, 4), GaussRat(F(2, 3), 1))
+        assert str(x) == "(2/3 + i)*ph(1/2) + (5/6 + 1/6*i)*ph(1)"
+        y = x.rebase(-1, 1).shift(F(1, 6)) + ph(0, GaussRat(F(-3, 4)))
+        assert str(y) == "(5/6 + 1/6*i)*ph(-5/6) + (-2/3 + -1*i)*ph(-1/3) + -3/4"
+        assert str(y.conjugate()) == "-3/4 + (-2/3 + i)*ph(1/3) + (5/6 + -1/6*i)*ph(5/6)"
+        assert str(ph(F(-5, 2), GaussRat(0, -1)) + ph(2, GaussRat(F(7, 3), 0))) == "(-1*i)*ph(-5/2) + 7/3*ph(2)"
+        g = GaussRat(F(6, 4), F(-9, 3)) * GaussRat(F(1, 3), F(1, 2))
+        assert g.to_json() == {"re": "2/1", "im": "-1/4"}
+        assert repr(g) == "GaussRat(Fraction(2, 1), Fraction(-1, 4))"
+
+
+# --- a dict-of-Fraction reference: exponent -> (re, im) ------------------------
+
+def _ref(x: PhaseScalar) -> dict:
+    return {r: (c.re, c.im) for r, c in x.terms.items()}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for r, (x, y) in b.items():
+        u, v = out.pop(r, (F(0), F(0)))
+        if (x + u, y + v) != (0, 0):
+            out[r] = (x + u, y + v)
+    return out
+
+
+def _ref_times(r, c: tuple, d: tuple) -> dict:
+    (x, y), (u, v) = c, d
+    return {r: (x * u - y * v, x * v + y * u)}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for r, c in a.items():
+        for s, d in b.items():
+            out = _ref_add(out, _ref_times(r + s, c, d))
+    return out
+
+
+def _ref_rebase(a: dict, lam: Fraction, mu: Fraction) -> dict:
+    out: dict = {}
+    for r, c in a.items():
+        four = 4 * mu * r
+        if four.denominator != 1:
+            raise DomainPhase(f"e({mu * r}) is not a Gaussian rational")
+        root = ((1, 0), (0, 1), (-1, 0), (0, -1))[four.numerator % 4]
+        out = _ref_add(out, _ref_times(lam * r, c, root))
+    return out
+
+
+class TestAgainstFractionReference:
+    @given(phase_scalars(), phase_scalars())
+    def test_ring_operations(self, a, b):
+        ra, rb = _ref(a), _ref(b)
+        assert _ref(a + b) == _ref_add(ra, rb)
+        assert _ref(a - b) == _ref_add(ra, {r: (-x, -y) for r, (x, y) in rb.items()})
+        assert _ref(a * b) == _ref_mul(ra, rb)
+        assert _ref(a.conjugate()) == {-r: (x, -y) for r, (x, y) in ra.items()}
+
+    @given(phase_scalars(), st.integers(min_value=-5, max_value=5), fractions_small())
+    def test_shift(self, a, n, r):
+        for s in (n, r):
+            assert _ref(a.shift(s)) == {q + s: c for q, c in _ref(a).items()}
+
+    @given(phase_scalars(), fractions_small(max_num=4),
+           st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(-3, 4), F(1, 3)]))
+    def test_rebase(self, a, lam, mu):
+        try:
+            want = _ref_rebase(_ref(a), lam, mu)
+        except DomainPhase:
+            with pytest.raises(DomainPhase):
+                a.rebase(lam, mu)
+            return
+        assert _ref(a.rebase(lam, mu)) == want
+
+    def test_rebase_by_half_slope(self):
+        a = PhaseScalar.phase(F(1, 3), GaussRat(1, 2)) + PhaseScalar.phase(2, GR_I)
+        assert _ref(a.rebase(F(1, 2), 0)) == _ref_rebase(_ref(a), F(1, 2), F(0))
+        assert a.rebase(F(1, 2), 0) == PhaseScalar.phase(F(1, 6), GaussRat(1, 2)) + PhaseScalar.phase(1, GR_I)

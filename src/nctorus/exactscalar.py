@@ -119,8 +119,6 @@ class GaussRat:
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
         d, f = self._d, other._d
-        if d == f:
-            return _gr(self._a + other._a, self._b + other._b, d)
         return _gr(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
@@ -308,16 +306,11 @@ class PhaseScalar:
         if not b:
             return self
         da, db = self._den, other._den
-        if da == db:
-            den, acc = da, dict(a)
-            for k, c in b.items():
-                _accumulate(acc, k, c)
-        else:
-            den = lcm(da, db)
-            sa, sb = den // da, den // db
-            acc = {k * sa: c for k, c in a.items()}
-            for k, c in b.items():
-                _accumulate(acc, k * sb, c)
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        acc = {k * sa: c for k, c in a.items()}
+        for k, c in b.items():
+            _accumulate(acc, k * sb, c)
         return _ps(den, acc)
 
     def __neg__(self) -> "PhaseScalar":
@@ -335,10 +328,6 @@ class PhaseScalar:
                 return _ps_raw(self._den, {k: c * g for k, c in self._keys.items()})
             if not isinstance(other, PhaseScalar):
                 return NotImplemented
-        if other is PS_ONE:
-            return self
-        if self is PS_ONE:
-            return other
         return self.mul_shift(other, 0)
 
     def mul_shift(self, other: "PhaseScalar", n: int) -> "PhaseScalar":
@@ -347,7 +336,7 @@ class PhaseScalar:
         if not a or not b:
             return PS_ZERO
         da, db = self._den, other._den
-        den = da if da == db else lcm(da, db)
+        den = lcm(da, db)
         sa, sb = den // da, den // db
         n *= den
         if len(a) == 1 and len(b) == 1:
@@ -403,8 +392,6 @@ class PhaseScalar:
                 total = total + c * _quarter_root(mu_num * k, root_den)
             return PhaseScalar.from_gauss(total)
         # k -> lam*k is injective for lam != 0, so no two terms merge
-        if not mu_num:
-            return _ps(lam_den * den, {lam_num * k: c for k, c in keys.items()})
         return _ps(lam_den * den, {lam_num * k: c * _quarter_root(mu_num * k, root_den) for k, c in keys.items()})
 
     def as_constant(self) -> GaussRat:

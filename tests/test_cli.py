@@ -147,6 +147,12 @@ def test_python_m_runs_the_cli(module):
     assert "unrecognized arguments: --bogus" in proc.stderr
 
 
+def test_importing_main_module_runs_nothing():
+    proc = _fresh_python("-c", "import nctorus.__main__; print('imported')")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "imported\n"
+
+
 class TestReports:
     def test_certificate_written(self, tmp_path):
         out = tmp_path / "cert.json"

@@ -116,7 +116,8 @@ def _cmd_gclass_certify(args) -> Payload:
                 print(f"seed {seed.k}/{seed.m}: FAIL ({exc})")
                 entries.append({"seed": seed.to_json(), "ok": False, "error": str(exc)})
                 continue
-            print(f"seed {seed.k}/{seed.m}: {_verdict(cert.overall)}")
+            failed = ", ".join(name for name, passed in cert.checks().items() if not passed)
+            print(f"seed {seed.k}/{seed.m}: " + (f"FAIL ({failed})" if failed else "PASS"))
             entries.append(cert.to_json())
             widths.append(cert.interval.width())
         if widths:

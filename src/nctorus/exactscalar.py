@@ -377,14 +377,17 @@ class PhaseScalar:
 
         Termwise e((lam*theta + mu)*r) = e(mu*r) * e(theta)^(lam*r); the
         integer-translation factor e(mu*r) must be a quarter-integer root
-        of unity, otherwise DomainPhase is raised.
+        of unity, otherwise DomainPhase is raised.  Zero rebases to zero
+        once lam and mu have passed their type checks.
         """
         lam_num, lam_den = _num_den(lam)
         mu_num, mu_den = _num_den(mu)
+        keys = self._keys
+        if not keys:
+            return self
         den = self._den
         # e(mu*r) = e(mu_num*k / (mu_den*den)) for r = k/den
         root_den = mu_den * den
-        keys = self._keys
         if not lam_num:
             # every phase collapses onto e(0): the image is one constant
             total = GR_ZERO

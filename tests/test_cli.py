@@ -226,6 +226,31 @@ class TestOutputLines:
         run(["gclass", "member", "--theta", f"{theta.numerator}/{theta.denominator}", "-o", str(out)])
         assert json.loads(out.read_text())["seeds"] == [{"k": 1, "m": 3, "certifiable": True}]
 
+    def test_trace_eval_output(self, capsys):
+        # printed by the code that formed the product before taking psi
+        expr = "(U + i*V)*(U*V^2 + ph(1/3)*V + 2*U^2*V^3)"
+        for adjoint in ([], ["--adjoint"]):
+            assert run(["traces", "eval", "--kind", "t21", "--expr", expr, *adjoint]) == 0
+            assert capsys.readouterr().out == "2*ph(-9/2) + i*ph(-1/2) + ph(-1/6)\n"
+
+    def test_grid_names_failed_checks(self, capsys, tmp_path, monkeypatch):
+        import nctorus.cli as climod
+        real = climod.certify
+
+        def certify(seed, kappas):
+            cert = real(seed, kappas)
+            return dataclasses.replace(cert, tau0_positive=False) if seed.m == 5 else cert
+
+        monkeypatch.setattr(climod, "certify", certify)
+        out = tmp_path / "grid.json"
+        assert run(["gclass", "certify", "--grid", "5", "-o", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("seed ")] == [
+            "seed 1/3: PASS", "seed 1/5: FAIL (tau0_positive)", "seed 2/5: FAIL (tau0_positive)"]
+        assert "grid of 3 seeds: FAIL" in lines
+        entries = json.loads(out.read_text())["certificates"]
+        assert [entry["overall"] for entry in entries] == [True, False, False]
+
     def test_grid_summary(self, capsys):
         assert run(["gclass", "certify", "--grid", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()

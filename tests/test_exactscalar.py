@@ -120,6 +120,14 @@ class TestPhaseScalar:
         with pytest.raises(DomainPhase):
             PhaseScalar.phase(F(1, 3)).rebase(1, F(1, 2))
 
+    def test_rebase_of_zero_is_zero_after_the_argument_checks(self):
+        assert PS_ZERO.rebase(1, F(1, 2)) is PS_ZERO
+        assert PS_ZERO.rebase(0, 3) is PS_ZERO
+        with pytest.raises(TypeError):
+            PS_ZERO.rebase(1.5, 0)
+        with pytest.raises(TypeError):
+            PS_ZERO.rebase(1, 0.5)
+
     @given(phase_scalars(), phase_scalars(), phase_scalars())
     def test_ring_axioms(self, a, b, c):
         assert a * (b * c) == (a * b) * c

@@ -1,19 +1,31 @@
 """Trace functionals: frozen monomial values, linearity, and the law suite."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from nctorus import BadInput, PhaseScalar, THETA, TraceKind, psi, psi_star, verify_lemma_psizeta
+from nctorus import (
+    ONE_MINUS_THETA,
+    BadInput,
+    ParamMismatch,
+    PhaseScalar,
+    THETA,
+    TraceKind,
+    psi,
+    psi_star,
+    verify_lemma_psizeta,
+)
 from nctorus.exactscalar import PS_ONE, PS_ZERO, GaussRat
-from nctorus.ncalgebra import monomial, one
+from nctorus.ncalgebra import monomial, mul, one, zero
 from nctorus.traces import (
     ALL_KINDS,
     check_alpha_trace,
     check_nu_relations,
     check_parity_flip,
     check_sigma_invariance,
+    psi_product,
     run_trace_suite,
 )
 
@@ -86,6 +98,43 @@ class TestLinearity:
             assert psi(kind, x.scale(c)) == c * psi(kind, x)
 
 
+class TestPsiProduct:
+    @given(nc_elements(max_terms=4), nc_elements(max_terms=4))
+    def test_equals_psi_of_the_product(self, x, y):
+        for kind in ALL_KINDS:
+            assert psi_product(kind, x, y) == psi(kind, mul(x, y)), kind
+
+    def test_tau_reads_the_constant_term_of_the_product(self):
+        x = mono(1, 2, ph(F(1, 3))) + mono(0, 1)
+        y = mono(-1, -2, ph(F(-1, 4), GaussRat(2, 1))) + mono(0, -1) + mono(3, 3)
+        # U V^2 U^-1 V^-2 = e(-2 theta) and V V^-1 = 1; U^3 V^3 meets no term
+        assert psi_product(TraceKind.tau, x, y) == ph(F(-23, 12), GaussRat(2, 1)) + PS_ONE
+        assert psi_product(TraceKind.tau, x, y) == psi(TraceKind.tau, mul(x, y))
+
+    def test_zero_factor_gives_zero(self):
+        x = mono(1, 1) + mono(2, 0)
+        for kind in ALL_KINDS:
+            assert psi_product(kind, zero(), x) is PS_ZERO
+            assert psi_product(kind, x, zero()) is PS_ZERO
+
+    def test_parameters_must_agree(self):
+        x = monomial(ONE_MINUS_THETA, PS_ONE, 1, 0)
+        for kind in ALL_KINDS:
+            with pytest.raises(ParamMismatch):
+                psi_product(kind, mono(1, 0), x)
+
+
+class TestTraceKind:
+    def test_members_are_found_by_value(self):
+        assert TraceKind("t22") is TraceKind.t22
+        table = {kind: kind.value for kind in ALL_KINDS}
+        assert all(table[TraceKind(kind.value)] == kind.value for kind in ALL_KINDS)
+
+    def test_pickle_returns_the_same_member(self):
+        for kind in ALL_KINDS:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+
+
 class TestLaws:
     # small windows here; the acceptance suite runs the full window 6
     def test_alpha_trace_small_window(self):
@@ -96,9 +145,12 @@ class TestLaws:
         assert check_alpha_trace(TraceKind.t22, 2, 2)
 
     def test_wrong_power_fails(self):
-        # the first pair of functionals obeys the order-one law, not order-two
+        # the first pair of functionals obeys the order-one law, not order-two,
+        # and the other three the order-two law, not order-one
         assert check_alpha_trace(TraceKind.t10, 2, 3) is False
-        assert check_alpha_trace(TraceKind.t20, 1, 2) is False
+        for kind, power in ((TraceKind.t10, 2), (TraceKind.t11, 2),
+                            (TraceKind.t20, 1), (TraceKind.t21, 1), (TraceKind.t22, 1)):
+            assert check_alpha_trace(kind, power, 2) is False, kind
 
     def test_invalid_power_rejected(self):
         with pytest.raises(BadInput):

@@ -39,7 +39,6 @@ from .exactscalar import (
     ThetaLinear,
     parse_rat,
     rat_str,
-    root_of_unity,
     tl_sign,
 )
 from .ncalgebra import (
@@ -83,7 +82,6 @@ from .gclass import (
     SeedParams,
     certify,
     derive,
-    gdelta_cover,
     interval,
     lemma31_arithmetic,
     member,
@@ -139,7 +137,6 @@ __all__ = [
     "fourier_intertwiner",
     "gamma",
     "gamma_top",
-    "gdelta_cover",
     "intertwiner_report",
     "interval",
     "lemma31_arithmetic",
@@ -154,7 +151,6 @@ __all__ = [
     "psi",
     "psi_star",
     "rat_str",
-    "root_of_unity",
     "run_trace_suite",
     "scaled_param",
     "seed_grid",

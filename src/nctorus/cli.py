@@ -42,13 +42,12 @@ from .gclass import (
     certify,
     chain_parts,
     derive,
-    gdelta_cover,
     interval,
     member,
     seed_grid,
     verify_identities,
 )
-from .matrixmodel import intertwiner_report, fourier_intertwiner, matrix_to_json
+from .matrixmodel import intertwiner_report, matrix_to_json
 from .traces import TraceKind, psi, psi_star, run_trace_suite
 
 Payload = Dict[str, object]
@@ -151,7 +150,8 @@ def _cmd_gclass_cover(args) -> Payload:
     for piece in args.seeds.split(","):
         frac = parse_rat(piece)
         seeds.append(SeedParams(frac.numerator, frac.denominator))
-    ivs = gdelta_cover(seeds, _kappas(args))
+    kappas = _kappas(args)
+    ivs = [interval(seed, kappas) for seed in seeds]
     for seed, iv in zip(seeds, ivs):
         print(f"seed {seed.k}/{seed.m}: ({rat_str(iv.lo)}, {rat_str(iv.hi)})")
     return {"intervals": [iv.to_json() for iv in ivs]}
@@ -216,7 +216,7 @@ def _cmd_matrix_verify(args) -> Payload:
     print(f"overall          : {_verdict(rep.ok)}")
     payload: Payload = dict(rep.to_json())
     if args.dump:
-        payload["matrix"] = matrix_to_json(fourier_intertwiner(args.q, args.p))
+        payload["matrix"] = matrix_to_json(rep.w)
     return payload
 
 
@@ -233,8 +233,8 @@ def _add_seed_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_kappa_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kappa1", default="3/4", help="slack 1/2 < kappa1 < 1 (rational)")
-    sub.add_argument("--kappa2", default="1/2", help="slack 0 < kappa2 <= 1/2 (rational)")
+    sub.add_argument("--kappa1", default=rat_str(DEFAULT_KAPPAS.k1), help="slack 1/2 < kappa1 < 1 (rational)")
+    sub.add_argument("--kappa2", default=rat_str(DEFAULT_KAPPAS.k2), help="slack 0 < kappa2 <= 1/2 (rational)")
 
 
 @functools.cache

@@ -168,10 +168,6 @@ class GaussRat:
     def to_json(self) -> dict:
         return {"re": rat_str(self.re), "im": rat_str(self.im)}
 
-    @staticmethod
-    def from_json(obj: Mapping[str, str]) -> "GaussRat":
-        return GaussRat(parse_rat(obj["re"]), parse_rat(obj["im"]))
-
 
 _SET_A = GaussRat._a.__set__
 _SET_B = GaussRat._b.__set__
@@ -214,15 +210,6 @@ def _quarter_root(num: int, den: int) -> GaussRat:
         s = Fraction(num, den)
         raise DomainPhase(f"e({s}) is not a Gaussian rational (4*{s} is not an integer)")
     return _I_POWERS[four_s % 4]
-
-
-def root_of_unity(s: RationalLike) -> GaussRat:
-    """e(s) for quarter-integer s, i.e. i**(4s mod 4).
-
-    Raises DomainPhase when 4s is not an integer: the value would leave
-    the Gaussian rationals and we refuse to widen the coefficient field.
-    """
-    return _quarter_root(*_num_den(s))
 
 
 class PhaseScalar:
@@ -284,9 +271,6 @@ class PhaseScalar:
             for k, g in c._keys.items():
                 _accumulate(acc, k * scale + s, g)
         return _ps(out, acc)
-
-    def is_zero(self) -> bool:
-        return not self._keys
 
     def __bool__(self) -> bool:
         return bool(self._keys)
@@ -373,38 +357,26 @@ class PhaseScalar:
         return _ps(out, {k * scale + s: c for k, c in self._keys.items()})
 
     def rebase(self, lam: RationalLike, mu: RationalLike) -> "PhaseScalar":
-        """Reinterpret phases from the symbol lam*theta + mu into base theta.
+        """Reinterpret phases from the symbol lam*theta + mu, lam != 0, into base theta.
 
         Termwise e((lam*theta + mu)*r) = e(mu*r) * e(theta)^(lam*r); the
         integer-translation factor e(mu*r) must be a quarter-integer root
-        of unity, otherwise DomainPhase is raised.  Zero rebases to zero
-        once lam and mu have passed their type checks.
+        of unity, otherwise DomainPhase is raised.  lam = 0 is a ValueError,
+        as for Param.  Zero rebases to zero once lam and mu have passed
+        these checks.
         """
         lam_num, lam_den = _num_den(lam)
         mu_num, mu_den = _num_den(mu)
+        if not lam_num:
+            raise ValueError("parameter slope lam must be nonzero")
         keys = self._keys
         if not keys:
             return self
         den = self._den
         # e(mu*r) = e(mu_num*k / (mu_den*den)) for r = k/den
         root_den = mu_den * den
-        if not lam_num:
-            # every phase collapses onto e(0): the image is one constant
-            total = GR_ZERO
-            for k, c in keys.items():
-                total = total + c * _quarter_root(mu_num * k, root_den)
-            return PhaseScalar.from_gauss(total)
         # k -> lam*k is injective for lam != 0, so no two terms merge
         return _ps(lam_den * den, {lam_num * k: c * _quarter_root(mu_num * k, root_den) for k, c in keys.items()})
-
-    def as_constant(self) -> GaussRat:
-        """The value as a GaussRat, valid only when no phase is present."""
-        keys = self._keys
-        if not keys:
-            return GR_ZERO
-        if len(keys) == 1 and 0 in keys:
-            return keys[0]
-        raise DomainPhase(f"{self} carries a nontrivial phase")
 
     def __str__(self) -> str:
         keys = self._keys
@@ -504,10 +476,6 @@ class ThetaLinear:
     def to_json(self) -> dict:
         return {"const": rat_str(self.const), "theta": rat_str(self.slope)}
 
-    @staticmethod
-    def from_json(obj: Mapping[str, str]) -> "ThetaLinear":
-        return ThetaLinear(parse_rat(obj["const"]), parse_rat(obj["theta"]))
-
 
 class Interval:
     """Open interval (lo, hi) with exact rational endpoints, lo < hi."""
@@ -532,10 +500,6 @@ class Interval:
 
     def __hash__(self):
         return hash((self.lo, self.hi))
-
-    def contains(self, x: RationalLike) -> bool:
-        x = as_fraction(x)
-        return self.lo < x < self.hi
 
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .chern import ChernVector, chern_one, flat_vector, gamma_top, top_eb_minus, top_eq_plus
 from .errors import BadInput, BadSeed, ChainFailure, IndeterminateSign, NotCoprime
@@ -190,11 +190,6 @@ def interval(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Interval:
     """The seed's open interval; refuses to build one off a broken chain."""
     points = _chain_points(seed, derive(seed), kappas)
     return _window(seed, _links(points), points)
-
-
-def gdelta_cover(seeds: Sequence[SeedParams], kappas: Kappas = DEFAULT_KAPPAS) -> List[Interval]:
-    """One interval per seed: a finite layer of the nested-union class."""
-    return [interval(seed, kappas) for seed in seeds]
 
 
 def seed_grid(max_km: int) -> List[SeedParams]:

@@ -18,8 +18,8 @@ package (and running any command but matrix verify) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .errors import BadInput
 
@@ -75,7 +75,7 @@ def fourier_intertwiner(q: int, p: int) -> CMatrix:
 
 @dataclass(frozen=True)
 class IntertwinerReport:
-    """Residual summary for one (q, p) pair."""
+    """Residual summary for one (q, p) pair, with the W it measured (not in the JSON)."""
 
     q: int
     p: int
@@ -83,6 +83,7 @@ class IntertwinerReport:
     resid_v: float
     resid_unitary: float
     order_four_ok: bool
+    w: Optional[CMatrix] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -105,44 +106,40 @@ class IntertwinerReport:
         }
 
 
-def _conj_by(w: CMatrix, x: CMatrix) -> CMatrix:
-    return w @ x @ w.conj().T
-
-
-def _order_four_ok(w: CMatrix, u: CMatrix, v: CMatrix) -> bool:
-    import numpy as np
-    q = u.shape[0]
-    u2 = _conj_by(w, _conj_by(w, u))
-    v2 = _conj_by(w, _conj_by(w, v))
-    u4 = _conj_by(w, _conj_by(w, u2))
-    v4 = _conj_by(w, _conj_by(w, v2))
-    w4 = np.linalg.matrix_power(w, 4)
-    scalar = np.trace(w4) / q
-    return bool(
-        np.linalg.norm(u2 - u.conj().T) <= TOL
-        and np.linalg.norm(v2 - v.conj().T) <= TOL
-        and np.linalg.norm(u4 - u) <= TOL
-        and np.linalg.norm(v4 - v) <= TOL
-        and np.linalg.norm(w4 - scalar * np.eye(q)) <= TOL
-    )
+def _orbit(w: CMatrix, wh: CMatrix, x: CMatrix) -> List[CMatrix]:
+    """x, WxW*, ..., W^4xW*^4 for wh = W*."""
+    out = [x]
+    for _ in range(4):
+        out.append(w @ out[-1] @ wh)
+    return out
 
 
 def intertwiner_report(q: int, p: int) -> IntertwinerReport:
-    """Build W once and measure every residual for one pair."""
+    """Build W once, walk the orbits of u and v under it, and measure every residual."""
     import numpy as np
     w = fourier_intertwiner(q, p)
+    wh = w.conj().T
     u = clock(q, p)
     v = shift(q)
-    resid_u = float(np.linalg.norm(_conj_by(w, u) - v))
-    resid_v = float(np.linalg.norm(_conj_by(w, v) - u.conj().T))
-    resid_unitary = float(np.linalg.norm(w.conj().T @ w - np.eye(q)))
+    us = _orbit(w, wh, u)
+    vs = _orbit(w, wh, v)
+    w4 = np.linalg.matrix_power(w, 4)
+    scalar = np.trace(w4) / q
+    order_four_ok = bool(
+        np.linalg.norm(us[2] - u.conj().T) <= TOL
+        and np.linalg.norm(vs[2] - v.conj().T) <= TOL
+        and np.linalg.norm(us[4] - u) <= TOL
+        and np.linalg.norm(vs[4] - v) <= TOL
+        and np.linalg.norm(w4 - scalar * np.eye(q)) <= TOL
+    )
     return IntertwinerReport(
         q=q,
         p=p,
-        resid_u=resid_u,
-        resid_v=resid_v,
-        resid_unitary=resid_unitary,
-        order_four_ok=_order_four_ok(w, u, v),
+        resid_u=float(np.linalg.norm(us[1] - v)),
+        resid_v=float(np.linalg.norm(vs[1] - u.conj().T)),
+        resid_unitary=float(np.linalg.norm(wh @ w - np.eye(q))),
+        order_four_ok=order_four_ok,
+        w=w,
     )
 
 

@@ -16,13 +16,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ParamMismatch
-from .exactscalar import (
-    GaussRat,
-    PhaseScalar,
-    RationalLike,
-    _accumulate,
-    as_fraction,
-)
+from .exactscalar import PhaseScalar, RationalLike, _accumulate, as_fraction
 
 MonoKey = Tuple[int, int]
 
@@ -102,9 +96,6 @@ class NCElement:
     def __hash__(self):
         return hash((self.param, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -120,14 +111,6 @@ class NCElement:
 
     def __sub__(self, other: "NCElement") -> "NCElement":
         return self + (-other)
-
-    def scale(self, c) -> "NCElement":
-        """Multiply every coefficient by a PhaseScalar / GaussRat / rational."""
-        if not isinstance(c, PhaseScalar):
-            c = PhaseScalar.from_gauss(c if isinstance(c, GaussRat) else GaussRat(c))
-        if not c:
-            return NCElement._raw(self.param, {})
-        return NCElement._raw(self.param, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "NCElement") -> "NCElement":
         return mul(self, other)

@@ -29,12 +29,6 @@ def gauss_rats(draw) -> GaussRat:
 
 
 @st.composite
-def quarter_fractions(draw, max_num: int = 12) -> Fraction:
-    # exponents where e(s) stays a Gaussian rational
-    return Fraction(draw(st.integers(min_value=-max_num, max_value=max_num)), 4)
-
-
-@st.composite
 def phase_scalars(draw, max_terms: int = 3, dens=(1, 2, 3, 4)) -> PhaseScalar:
     n_terms = draw(st.integers(min_value=0, max_value=max_terms))
     out = PhaseScalar.zero()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nctorus
-from nctorus import TopVector, gclass
+from nctorus import DEFAULT_KAPPAS, TopVector, gclass, matrixmodel
 from nctorus.cli import run
 from nctorus.matrixmodel import TOL, IntertwinerReport
 
@@ -147,6 +147,13 @@ def test_python_m_runs_the_cli(module):
     assert "unrecognized arguments: --bogus" in proc.stderr
 
 
+def test_export_list_names_every_public_name():
+    public = {name for name, value in vars(nctorus).items()
+              if not name.startswith("_") and not isinstance(value, type(nctorus))}
+    assert set(nctorus.__all__) == public
+    assert len(nctorus.__all__) == len(public)
+
+
 def test_importing_main_module_runs_nothing():
     proc = _fresh_python("-c", "import nctorus.__main__; print('imported')")
     assert proc.returncode == 0, proc.stderr
@@ -167,6 +174,28 @@ class TestReports:
         obj = json.loads(out.read_text())
         assert obj["ok"] is True
         assert len(obj["matrix"]) == 2
+
+    def test_dump_builds_the_matrix_once(self, tmp_path, monkeypatch):
+        solve = matrixmodel.fourier_intertwiner
+        calls = []
+
+        def counted(q, p):
+            calls.append((q, p))
+            return solve(q, p)
+
+        import nctorus.cli as climod
+        # count builds through the module and through any name the CLI imports
+        monkeypatch.setattr(matrixmodel, "fourier_intertwiner", counted)
+        monkeypatch.setattr(climod, "fourier_intertwiner", counted, raising=False)
+        out = tmp_path / "matrix.json"
+        assert run(["matrix", "verify", "-q", "5", "-p", "2", "--dump", "-o", str(out)]) == 0
+        assert calls == [(5, 2)]
+        assert json.loads(out.read_text())["matrix"] == matrixmodel.matrix_to_json(solve(5, 2))
+
+    def test_kappas_default_to_gclass_defaults(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["gclass", "certify", "-k", "1", "-m", "3", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["kappas"] == DEFAULT_KAPPAS.to_json()
 
     def test_report_still_written_on_failure(self, tmp_path, monkeypatch):
         # a failing verification must exit 1 yet still write its report

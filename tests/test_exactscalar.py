@@ -10,16 +10,16 @@ from nctorus import (
     DomainPhase,
     GaussRat,
     Interval,
+    Param,
     PhaseScalar,
     ThetaLinear,
     parse_rat,
     rat_str,
-    root_of_unity,
     tl_sign,
 )
 from nctorus.exactscalar import GR_I, GR_ONE, GR_ZERO, PS_ONE, PS_ZERO
 
-from conftest import fractions_small, gauss_rats, phase_scalars, quarter_fractions
+from conftest import fractions_small, gauss_rats, phase_scalars
 
 F = Fraction
 
@@ -63,30 +63,6 @@ class TestGaussRat:
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
         assert (a + b).conjugate() == a.conjugate() + b.conjugate()
 
-    @given(gauss_rats())
-    def test_json_round_trip(self, a):
-        assert GaussRat.from_json(a.to_json()) == a
-
-
-class TestRootOfUnity:
-    def test_quarter_values(self):
-        assert root_of_unity(0) == GR_ONE
-        assert root_of_unity(F(1, 4)) == GR_I
-        assert root_of_unity(F(1, 2)) == GaussRat(-1, 0)
-        assert root_of_unity(F(3, 4)) == GaussRat(0, -1)
-        assert root_of_unity(1) == GR_ONE
-        assert root_of_unity(F(-1, 4)) == GaussRat(0, -1)
-
-    def test_rejects_non_quarter(self):
-        with pytest.raises(DomainPhase):
-            root_of_unity(F(1, 3))
-        with pytest.raises(DomainPhase):
-            root_of_unity(F(1, 8))
-
-    @given(quarter_fractions(), quarter_fractions())
-    def test_additive_on_quarter_lattice(self, s, t):
-        assert root_of_unity(s + t) == root_of_unity(s) * root_of_unity(t)
-
 
 class TestPhaseScalar:
     def test_frozen_cases(self):
@@ -95,11 +71,6 @@ class TestPhaseScalar:
         assert x * y == PhaseScalar.phase(3) + PhaseScalar.phase(1)
         assert PhaseScalar.phase(1) - PhaseScalar.phase(1) == PS_ZERO
         assert PhaseScalar.from_gauss(GR_ONE) == PS_ONE
-        assert PS_ONE.as_constant() == GR_ONE
-
-    def test_as_constant_rejects_genuine_phase(self):
-        with pytest.raises(DomainPhase):
-            PhaseScalar.phase(1).as_constant()
 
     def test_shift_translates_exponents(self):
         x = PhaseScalar.phase(F(1, 2), GR_I) + PS_ONE
@@ -122,11 +93,22 @@ class TestPhaseScalar:
 
     def test_rebase_of_zero_is_zero_after_the_argument_checks(self):
         assert PS_ZERO.rebase(1, F(1, 2)) is PS_ZERO
-        assert PS_ZERO.rebase(0, 3) is PS_ZERO
+        assert PS_ZERO.rebase(-1, 3) is PS_ZERO
         with pytest.raises(TypeError):
             PS_ZERO.rebase(1.5, 0)
         with pytest.raises(TypeError):
             PS_ZERO.rebase(1, 0.5)
+
+    def test_rebase_rejects_zero_slope_like_param(self):
+        # no algebra has parameter 0*theta + mu, so neither does rebase
+        with pytest.raises(ValueError) as from_param:
+            Param(0, 0)
+        for x in (PS_ZERO, PhaseScalar.phase(F(1, 2), GR_I)):
+            for mu in (0, F(1, 4)):
+                with pytest.raises(type(from_param.value)):
+                    x.rebase(0, mu)
+                with pytest.raises(type(from_param.value)):
+                    x.rebase(F(0), mu)
 
     @given(phase_scalars(), phase_scalars(), phase_scalars())
     def test_ring_axioms(self, a, b, c):
@@ -144,7 +126,7 @@ class TestPhaseScalar:
         assert a.shift(r).shift(s) == a.shift(r + s)
         assert a.shift(0) == a
 
-    @given(phase_scalars(dens=(1, 2, 4)), st.integers(min_value=-3, max_value=3),
+    @given(phase_scalars(dens=(1, 2, 4)), st.integers(min_value=-3, max_value=3).filter(bool),
            st.integers(min_value=-3, max_value=3))
     def test_rebase_is_ring_map(self, a, lam, mu):
         # integer offsets and quarter-lattice exponents keep rebase total
@@ -165,7 +147,6 @@ class TestThetaLinear:
         assert 3 * t == ThetaLinear(3, -6)
         assert t - t == ThetaLinear(0, 0)
         assert t.to_json() == {"const": "1/1", "theta": "-2/1"}
-        assert ThetaLinear.from_json(t.to_json()) == t
 
     def test_str(self):
         assert str(ThetaLinear(1, -2)) == "1 + -2*theta"
@@ -181,12 +162,12 @@ class TestInterval:
 
     def test_contains_open(self):
         iv = Interval(F(1, 3), F(1, 2))
-        assert iv.contains(F(2, 5))
-        assert not iv.contains(F(1, 3))
-        assert not iv.contains(F(1, 2))
+        assert (iv.lo, iv.hi) == (F(1, 3), F(1, 2))
         assert iv.width() == F(1, 6)
         assert iv.midpoint() == F(5, 12)
-        assert iv.contains(iv.midpoint())
+        assert iv.lo < iv.midpoint() < iv.hi
+        assert iv == Interval(F(1, 3), F(1, 2)) and iv != Interval(F(1, 3), F(2, 3))
+        assert iv.to_json() == {"lo": "1/3", "hi": "1/2"}
 
 
 class TestTlSign:
@@ -365,7 +346,7 @@ class TestAgainstFractionReference:
         for s in (n, r):
             assert _ref(a.shift(s)) == {q + s: c for q, c in _ref(a).items()}
 
-    @given(phase_scalars(), fractions_small(max_num=4),
+    @given(phase_scalars(), fractions_small(max_num=4).filter(bool),
            st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(-3, 4), F(1, 3)]))
     def test_rebase(self, a, lam, mu):
         try:

@@ -22,7 +22,6 @@ from nctorus import (
     ThetaLinear,
     certify,
     derive,
-    gdelta_cover,
     interval,
     lemma31_arithmetic,
     member,
@@ -31,6 +30,7 @@ from nctorus import (
     verify_identities,
 )
 from nctorus import gclass
+from nctorus.cli import run
 from nctorus.gclass import chain_parts
 
 F = Fraction
@@ -162,12 +162,13 @@ class TestInterval:
         iv = interval(seed, DEFAULT_KAPPAS)
         assert iv.width() < F(1, d.q * d.q)
 
-    def test_cover_returns_one_interval_per_seed(self):
-        seeds = [SeedParams(1, 3), SeedParams(2, 5)]
-        ivs = gdelta_cover(seeds, DEFAULT_KAPPAS)
-        assert len(ivs) == 2
-        assert all(isinstance(iv, Interval) for iv in ivs)
-        assert ivs[0] == interval(seeds[0], DEFAULT_KAPPAS)
+    def test_cover_returns_one_interval_per_seed(self, tmp_path, capsys):
+        out = tmp_path / "cover.json"
+        assert run(["gclass", "cover", "--seeds", "1/3,2/5", "-o", str(out)]) == 0
+        ivs = [interval(SeedParams(k, m), DEFAULT_KAPPAS) for k, m in ((1, 3), (2, 5))]
+        assert json.loads(out.read_text()) == {"intervals": [iv.to_json() for iv in ivs]}
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"seed {s}: ({iv.lo}, {iv.hi})" for s, iv in zip(("1/3", "2/5"), ivs)]
 
 
 class TestMember:
@@ -233,7 +234,7 @@ def test_member_matches_scan_of_every_seed(kappas):
     hits = 0
     for theta in thetas:
         for kmax in SCAN_KMAX:
-            want = [seed for seed, iv in table if seed.m <= kmax and iv is not None and iv.contains(theta)]
+            want = [seed for seed, iv in table if seed.m <= kmax and iv is not None and iv.lo < theta < iv.hi]
             assert member(theta, kappas, kmax) == want, (theta, kmax)
             hits += bool(want)
     # at kmax 20 each midpoint and both points just inside hit their own seed

@@ -228,8 +228,8 @@ class TestZeta:
 
 class TestElementBasics:
     def test_zero_and_scale(self):
-        assert (U - U).is_zero()
-        assert U.scale(PhaseScalar.phase(1)) == mono(1, 0, c=PhaseScalar.phase(1))
+        assert not (U - U) and (U - U) == zero()
+        assert mul(mono(0, 0, c=PhaseScalar.phase(1)), U) == mono(1, 0, c=PhaseScalar.phase(1))
         assert -(-U) == U
 
     @given(nc_elements())

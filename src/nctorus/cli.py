@@ -3,10 +3,10 @@
 Each handler returns its JSON report and run sets the exit code by one
 rule: 1 iff the report's ok (overall, for a single certificate) is false,
 2 on usage or domain errors, else 0.  A ChainFailure or IndeterminateSign
-becomes the report {"ok": false, "error": ...}, or in a --grid that
-seed's entry; an empty --grid, --sweep or member --kmax is a usage error;
-chern top's report carries ok.  Results print to standard output; -o FILE
-also writes the report, on failure too.
+becomes the report {"ok": false, "error": ...}, or in a --grid or a
+cover that seed's entry; an empty --grid, --sweep or member --kmax is a
+usage error; chern top's report carries ok.  Results print to standard
+output; -o FILE also writes the report, on failure too.
 """
 
 from __future__ import annotations
@@ -145,16 +145,30 @@ def _cmd_gclass_member(args) -> Payload:
     return {"theta": rat_str(theta), "seeds": seeds}
 
 
+def _cover_seed(piece: str) -> SeedParams:
+    """The seed k/m that a --seeds piece spells; SeedParams rejects it unreduced."""
+    try:
+        k, m = map(int, piece.split("/"))
+    except ValueError as exc:
+        raise BadInput(f"not a seed k/m: {piece!r}") from exc
+    return SeedParams(k, m)
+
+
 def _cmd_gclass_cover(args) -> Payload:
-    seeds = []
-    for piece in args.seeds.split(","):
-        frac = parse_rat(piece)
-        seeds.append(SeedParams(frac.numerator, frac.denominator))
+    seeds = [_cover_seed(piece) for piece in args.seeds.split(",")]
     kappas = _kappas(args)
-    ivs = [interval(seed, kappas) for seed in seeds]
-    for seed, iv in zip(seeds, ivs):
+    entries: List[Payload] = []
+    for seed in seeds:
+        try:
+            iv = interval(seed, kappas)
+        except ChainFailure as exc:
+            failed = ", ".join(name for name, holds in chain_parts(seed, kappas).items() if not holds)
+            print(f"seed {seed.k}/{seed.m}: chain fails ({failed})")
+            entries.append({"error": str(exc)})
+            continue
         print(f"seed {seed.k}/{seed.m}: ({rat_str(iv.lo)}, {rat_str(iv.hi)})")
-    return {"intervals": [iv.to_json() for iv in ivs]}
+        entries.append(iv.to_json())
+    return {"intervals": entries, "ok": all("error" not in entry for entry in entries)}
 
 
 def _cmd_traces_check(args) -> Payload:

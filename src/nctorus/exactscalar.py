@@ -17,6 +17,9 @@ arithmetic makes no Fraction:
 Both forms are unique, so equality and hashing compare ints.  ``.re`` and
 ``.im`` of a GaussRat and ``.terms`` of a PhaseScalar give the Fraction
 view.
+
+Every product of phase sums is one PhaseScalar.sum_products call: one dict
+over one common denominator, brought to lowest terms once.
 """
 
 from __future__ import annotations
@@ -260,16 +263,18 @@ class PhaseScalar:
         return _ps_raw(den, {num: coeff})
 
     @staticmethod
-    def sum_shifted(parts: Sequence[Tuple["PhaseScalar", int]], den: int) -> "PhaseScalar":
-        """The sum of c * e(theta*s/den) over the (c, s) pairs, s an int."""
-        out = lcm(den, *(c._den for c, _ in parts))
-        step = out // den
+    def sum_products(parts: Sequence[Tuple["PhaseScalar", "PhaseScalar", int]], den: int) -> "PhaseScalar":
+        """The sum of a * b * e(theta*s/den) over the (a, b, s) triples, s an int."""
+        out = den
+        for a, b, _ in parts:
+            out = lcm(out, a._den, b._den)
         acc: dict = {}
-        for c, s in parts:
-            s *= step
-            scale = out // c._den
-            for k, g in c._keys.items():
-                _accumulate(acc, k * scale + s, g)
+        for a, b, s in parts:
+            sa, sb, s = out // a._den, out // b._den, s * (out // den)
+            for ka, ca in a._keys.items():
+                ka = ka * sa + s
+                for kb, cb in b._keys.items():
+                    _accumulate(acc, ka + kb * sb, ca * cb)
         return _ps(out, acc)
 
     def __bool__(self) -> bool:
@@ -304,37 +309,12 @@ class PhaseScalar:
         return self + (-other)
 
     def __mul__(self, other) -> "PhaseScalar":
-        if type(other) is not PhaseScalar:
-            if isinstance(other, (GaussRat, int, Fraction)):
-                g = other if isinstance(other, GaussRat) else GaussRat(other)
-                if not g:
-                    return PS_ZERO
-                return _ps_raw(self._den, {k: c * g for k, c in self._keys.items()})
-            if not isinstance(other, PhaseScalar):
-                return NotImplemented
-        return self.mul_shift(other, 0)
-
-    def mul_shift(self, other: "PhaseScalar", n: int) -> "PhaseScalar":
-        """self * other * e(theta*n) for an int n, in one pass over the terms."""
-        a, b = self._keys, other._keys
-        if not a or not b:
-            return PS_ZERO
-        da, db = self._den, other._den
-        den = lcm(da, db)
-        sa, sb = den // da, den // db
-        n *= den
-        if len(a) == 1 and len(b) == 1:
-            (ka, ca), = a.items()
-            (kb, cb), = b.items()
-            # a product of nonzero Gaussian rationals is nonzero
-            return _ps(den, {ka * sa + kb * sb + n: ca * cb})
-        bs = [(kb * sb + n, cb) for kb, cb in b.items()]
-        acc: dict = {}
-        for ka, ca in a.items():
-            ka *= sa
-            for kb, cb in bs:
-                _accumulate(acc, ka + kb, ca * cb)
-        return _ps(den, acc)
+        if isinstance(other, PhaseScalar):
+            return PhaseScalar.sum_products(((self, other, 0),), 1)
+        if not isinstance(other, (GaussRat, int, Fraction)):
+            return NotImplemented
+        g = other if isinstance(other, GaussRat) else GaussRat(other)
+        return _ps_raw(self._den, {k: c * g for k, c in self._keys.items()}) if g else PS_ZERO
 
     __rmul__ = __mul__
 

@@ -147,11 +147,17 @@ def monomial(param: Param, c: PhaseScalar, m: int, n: int) -> NCElement:
 def mul(x: NCElement, y: NCElement) -> NCElement:
     """Product under V^b U^c = e(param)^(b*c) U^c V^b, result canonical."""
     _require_same_param(x, y)
-    acc: Dict[MonoKey, PhaseScalar] = {}
+    groups: Dict[MonoKey, list] = {}
     for (a, b), cx in x.terms.items():
         for (c, d), cy in y.terms.items():
-            _accumulate(acc, (a + c, b + d), cx.mul_shift(cy, b * c))
-    return NCElement._raw(x.param, acc)
+            groups.setdefault((a + c, b + d), []).append((cx, cy, b * c))
+    # one sum of products, so one reduction, per output monomial
+    terms: Dict[MonoKey, PhaseScalar] = {}
+    for key, group in groups.items():
+        c = PhaseScalar.sum_products(group, 1)
+        if c:
+            terms[key] = c
+    return NCElement._raw(x.param, terms)
 
 
 def star(x: NCElement) -> NCElement:
@@ -213,9 +219,8 @@ def zeta(nn: int, k: int, x: NCElement) -> NCElement:
     """
     if nn == 0:
         raise ValueError("zeta needs nn != 0")
-    expected = scaled_param(nn, k)
-    if x.param != expected:
-        raise ParamMismatch(f"zeta({nn},{k}) acts on parameter {expected}, got {x.param}")
     lam = nn * nn
+    if x.param.lam != lam or x.param.mu != -k:
+        raise ParamMismatch(f"zeta({nn},{k}) acts on parameter {scaled_param(nn, k)}, got {x.param}")
     # nn != 0 makes (m, n) -> (nn*m, nn*n) injective, so no two terms merge
     return NCElement._raw(THETA, {(nn * m, nn * n): c.rebase(lam, -k) for (m, n), c in x.terms.items()})

@@ -25,6 +25,7 @@ NU_LAW entries, so the law that is checked is the law that is used.
 check_alpha_trace evaluates both sides, psi(x y) and psi(sigma^power(y) x),
 with psi_product: it reads each term pair's exponent sums first and
 multiplies only the pairs psi sees, so the product is never formed.
+psi and psi_product sum what they see with one PhaseScalar.sum_products.
 
 Every law check, chern.verify_lemma_psizeta included, walks the one
 monomial window _window, which alone rejects an empty window.
@@ -36,7 +37,7 @@ import enum
 from typing import Dict, List
 
 from .errors import BadInput
-from .exactscalar import PS_ZERO, GaussRat, PhaseScalar
+from .exactscalar import PS_ONE, PS_ZERO, GaussRat, PhaseScalar
 from .ncalgebra import (
     ONE_MINUS_THETA,
     THETA,
@@ -107,9 +108,9 @@ def psi(kind: TraceKind, x: NCElement) -> PhaseScalar:
         return c if c is not None else PS_ZERO
     row, quarter = _SUPPORT[kind]
     # the phase -(m+n)^2/4 or -mn/2, as a numerator over 4
-    parts = [(c, -(m + n) ** 2 if quarter else -2 * m * n)
+    parts = [(c, PS_ONE, -(m + n) ** 2 if quarter else -2 * m * n)
              for (m, n), c in x.terms.items() if row[(m & 1) << 1 | n & 1]]
-    return PhaseScalar.sum_shifted(parts, 4) if parts else PS_ZERO
+    return PhaseScalar.sum_products(parts, 4) if parts else PS_ZERO
 
 
 def psi_product(kind: TraceKind, x: NCElement, y: NCElement) -> PhaseScalar:
@@ -123,8 +124,8 @@ def psi_product(kind: TraceKind, x: NCElement, y: NCElement) -> PhaseScalar:
     # rule V^b U^c = e(param)^(b*c) U^c V^b that ncalgebra.mul states
     if kind is TraceKind.tau:
         yt = y.terms
-        return PhaseScalar.sum_shifted([(cx.mul_shift(yt[(-a, -b)], -a * b), 0)
-                                        for (a, b), cx in x.terms.items() if (-a, -b) in yt], 1)
+        return PhaseScalar.sum_products([(cx, yt[(-a, -b)], -a * b)
+                                         for (a, b), cx in x.terms.items() if (-a, -b) in yt], 1)
     row, quarter = _SUPPORT[kind]
     ys = y.terms.items()
     parts = []
@@ -132,8 +133,8 @@ def psi_product(kind: TraceKind, x: NCElement, y: NCElement) -> PhaseScalar:
         for (c, d), cy in ys:
             m, n = a + c, b + d
             if row[(m & 1) << 1 | n & 1]:
-                parts.append((cx.mul_shift(cy, b * c), -(m + n) ** 2 if quarter else -2 * m * n))
-    return PhaseScalar.sum_shifted(parts, 4) if parts else PS_ZERO
+                parts.append((cx, cy, 4 * b * c - ((m + n) ** 2 if quarter else 2 * m * n)))
+    return PhaseScalar.sum_products(parts, 4) if parts else PS_ZERO
 
 
 def psi_star(kind: TraceKind, x: NCElement) -> PhaseScalar:

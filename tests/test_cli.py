@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction as F
 import os
 import subprocess
 import sys
@@ -34,6 +35,15 @@ class TestExitCodes:
         assert run(["traces", "check", "--window", "0"]) == 2
         assert run(["chern", "lemma24", "--nn", "2", "--kk", "1", "--window", "0"]) == 2
         assert run(["gclass", "member", "--theta", "1/2", "--kmax", "0"]) == 2
+        assert run(["gclass", "interval", "-k", "2", "-m", "6"]) == 2
+        assert run(["gclass", "cover", "--seeds", "2/6,2/5"]) == 2
+
+    def test_cover_takes_seeds_as_written(self, capsys):
+        # 2/6 is not reduced to 1/3, as interval -k 2 -m 6 is not
+        assert run(["gclass", "cover", "--seeds", "2/6,2/5"]) == 2
+        assert capsys.readouterr().err == "error: seed k/m must be reduced, got 2/6\n"
+        assert run(["gclass", "cover", "--seeds", "1/3,5"]) == 2
+        assert capsys.readouterr().err == "error: not a seed k/m: '5'\n"
 
     def test_empty_batch_names_smallest_value(self, capsys):
         assert run(["gclass", "certify", "--grid", "2"]) == 2
@@ -76,6 +86,16 @@ class TestExitCodes:
         assert [entry["seed"] for entry in obj["certificates"]] == [{"k": 1, "m": 3}, {"k": 1, "m": 5},
                                                                     {"k": 2, "m": 5}]
         assert all(entry["ok"] is False and "rs_lt_window_lo" in entry["error"] for entry in obj["certificates"])
+
+    def test_cover_reports_a_broken_chain_per_seed(self, tmp_path, capsys):
+        # 81/100 > 4/5 breaks the chain of 1/9 but not of 1/3
+        out = tmp_path / "cover.json"
+        assert run(["gclass", "cover", "--seeds", "1/3,1/9", "--kappa1", "81/100", "-o", str(out)]) == 1
+        iv = gclass.interval(gclass.SeedParams(1, 3), gclass.Kappas(F(81, 100), DEFAULT_KAPPAS.k2))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"seed 1/3: ({iv.lo}, {iv.hi})", "seed 1/9: chain fails (rs_lt_window_lo)"]
+        assert json.loads(out.read_text()) == {
+            "intervals": [iv.to_json(), {"error": "chain fails for seed (1, 9): rs_lt_window_lo"}], "ok": False}
 
     def test_identity_failure_is_reported(self, tmp_path, monkeypatch):
         real = gclass.derive

@@ -328,18 +328,23 @@ class TestAgainstFractionReference:
         assert _ref(a * b) == _ref_mul(ra, rb)
         assert _ref(a.conjugate()) == {-r: (x, -y) for r, (x, y) in ra.items()}
 
-    @given(phase_scalars(), phase_scalars(), st.integers(min_value=-5, max_value=5))
-    def test_mul_shift(self, a, b, n):
-        want = {r + n: c for r, c in _ref_mul(_ref(a), _ref(b)).items()}
-        assert _ref(a.mul_shift(b, n)) == want
+    @given(st.lists(st.tuples(phase_scalars(dens=(1, 2, 3, 4, 6)), phase_scalars(dens=(1, 2, 3, 4, 6)),
+                              st.integers(min_value=-9, max_value=9)), max_size=3),
+           st.sampled_from([1, 2, 3, 4, 6]))
+    def test_sum_products(self, parts, den):
+        # a * b * e(theta*s/den) summed over the triples
+        want: dict = {}
+        for a, b, s in parts:
+            want = _ref_add(want, {r + F(s, den): c for r, c in _ref_mul(_ref(a), _ref(b)).items()})
+        assert _ref(PhaseScalar.sum_products(parts, den)) == want
 
-    @given(phase_scalars(), phase_scalars(), st.integers(min_value=-9, max_value=9),
-           st.integers(min_value=-9, max_value=9), st.sampled_from([1, 2, 3, 4, 6]))
-    def test_sum_shifted(self, a, b, s, t, den):
-        # c * e(theta*s/den) summed over the pairs
-        want = _ref_add({r + F(s, den): c for r, c in _ref(a).items()},
-                        {r + F(t, den): c for r, c in _ref(b).items()})
-        assert _ref(PhaseScalar.sum_shifted([(a, s), (b, t)], den)) == want
+    def test_sum_products_cancels_to_zero(self):
+        a = PhaseScalar.phase(F(1, 2), GaussRat(1, 2)) + PhaseScalar.phase(F(1, 3), GR_I)
+        b = PhaseScalar.phase(F(-1, 6), GaussRat(F(1, 3)))
+        # a * b * e(theta/2) and -a * (b * e(theta/2)) cancel, term by term
+        total = PhaseScalar.sum_products([(a, b, 1), (-a, b.shift(F(1, 2)), 0)], 2)
+        assert total is PS_ZERO
+        assert PhaseScalar.sum_products([], 4) is PS_ZERO
 
     @given(phase_scalars(), st.integers(min_value=-5, max_value=5), fractions_small())
     def test_shift(self, a, n, r):

@@ -166,7 +166,7 @@ class TestInterval:
         out = tmp_path / "cover.json"
         assert run(["gclass", "cover", "--seeds", "1/3,2/5", "-o", str(out)]) == 0
         ivs = [interval(SeedParams(k, m), DEFAULT_KAPPAS) for k, m in ((1, 3), (2, 5))]
-        assert json.loads(out.read_text()) == {"intervals": [iv.to_json() for iv in ivs]}
+        assert json.loads(out.read_text()) == {"intervals": [iv.to_json() for iv in ivs], "ok": True}
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == [f"seed {s}: ({iv.lo}, {iv.hi})" for s, iv in zip(("1/3", "2/5"), ivs)]
 

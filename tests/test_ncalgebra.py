@@ -37,6 +37,15 @@ U = mono(1, 0)
 V = mono(0, 1)
 
 
+def _pairwise_product(x, y):
+    """x y as the sum of one monomial per term pair, added one at a time."""
+    out = zero(x.param)
+    for (a, b), cx in x.terms.items():
+        for (c, d), cy in y.terms.items():
+            out = out + mono(a + c, b + d, x.param, (cx * cy).shift(b * c))
+    return out
+
+
 class TestParam:
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
@@ -74,6 +83,17 @@ class TestNormalForm:
         y = U - V
         expect = (mul(U, U) - mul(U, V) + mul(V, U)) - mul(V, V)
         assert mul(x, y) == expect
+
+    @given(nc_elements(window=1, max_terms=5), nc_elements(window=1, max_terms=5))
+    def test_matches_product_summed_pair_by_pair(self, x, y):
+        # exponents in -1..1, so many pairs land on one monomial
+        assert mul(x, y) == _pairwise_product(x, y)
+
+    def test_colliding_pairs_cancel(self):
+        # U U^-1 and V (-V^-1) both land on the constant term and cancel
+        x, y = U + V, mono(-1, 0) - mono(0, -1)
+        assert (0, 0) not in mul(x, y).terms
+        assert mul(x, y) == _pairwise_product(x, y) == mono(-1, 1, c=PhaseScalar.phase(-1)) - mono(1, -1)
 
     def test_param_mismatch(self):
         with pytest.raises(ParamMismatch):

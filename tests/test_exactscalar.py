@@ -328,6 +328,20 @@ class TestAgainstFractionReference:
         assert _ref(a * b) == _ref_mul(ra, rb)
         assert _ref(a.conjugate()) == {-r: (x, -y) for r, (x, y) in ra.items()}
 
+    @given(phase_scalars(), phase_scalars(), st.integers(min_value=-5, max_value=5))
+    def test_mul_shift(self, a, b, n):
+        # one triple: a * b * e(theta*n)
+        want = {r + n: c for r, c in _ref_mul(_ref(a), _ref(b)).items()}
+        assert _ref(PhaseScalar.sum_products([(a, b, n)], 1)) == want
+
+    @given(phase_scalars(), phase_scalars(), st.integers(min_value=-9, max_value=9),
+           st.integers(min_value=-9, max_value=9), st.sampled_from([1, 2, 3, 4, 6]))
+    def test_sum_shifted(self, a, b, s, t, den):
+        # c * 1 * e(theta*s/den) summed over the pairs
+        want = _ref_add({r + F(s, den): c for r, c in _ref(a).items()},
+                        {r + F(t, den): c for r, c in _ref(b).items()})
+        assert _ref(PhaseScalar.sum_products([(a, PS_ONE, s), (b, PS_ONE, t)], den)) == want
+
     @given(st.lists(st.tuples(phase_scalars(dens=(1, 2, 3, 4, 6)), phase_scalars(dens=(1, 2, 3, 4, 6)),
                               st.integers(min_value=-9, max_value=9)), max_size=3),
            st.sampled_from([1, 2, 3, 4, 6]))

@@ -43,7 +43,7 @@ from .gclass import (
     chain_parts,
     derive,
     interval,
-    member,
+    member_walk,
     seed_grid,
     verify_identities,
 )
@@ -137,12 +137,12 @@ def _cmd_gclass_member(args) -> Payload:
     theta = parse_rat(args.theta)
     if args.kmax < 3:
         raise BadInput(f"--kmax {args.kmax} holds no seed; the smallest bound is --kmax 3 (seed 1/3)")
-    hits = member(theta, _kappas(args), args.kmax)
+    hits, convergents = member_walk(theta, _kappas(args), args.kmax)
     for seed in hits:
         print(f"seed {seed.k}/{seed.m}" + ("" if seed.certifiable else " (not certifiable: m even)"))
     print(f"{len(hits)} seed(s) contain theta = {rat_str(theta)}")
     seeds = [{**s.to_json(), "certifiable": s.certifiable} for s in hits]
-    return {"theta": rat_str(theta), "seeds": seeds}
+    return {"theta": rat_str(theta), "seeds": seeds, "convergents": convergents}
 
 
 def _cover_seed(piece: str) -> SeedParams:
@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g_member = gsubs.add_parser("member", parents=[out_parent], help="seeds whose interval contains theta")
     g_member.add_argument("--theta", required=True, help="rational theta in (0,1), e.g. 73/1156")
-    g_member.add_argument("--kmax", type=int, default=40, help="search bound for k, m")
+    g_member.add_argument("--kmax", type=int, default=40, help="bound on m (k < m/2)")
     _add_kappa_flags(g_member)
     g_member.set_defaults(handler=_cmd_gclass_member)
 

@@ -13,105 +13,177 @@ in "-1*i" or "-3/2*U".  "ph(r)" is the formal phase e(theta*r) in the
 element's own parameter.  parse builds a normal-form element (so "V*U"
 comes back as "ph(1)*U*V") and unparse prints terms in lexicographic
 (m, n) order; the two compose to the identity on canonical text.
+
+A term folds its factors left to right into one running
+g*e(param*r)*U^m V^n, g a Gaussian rational and r a rational: a literal
+or i multiplies g, ph(r) adds to r, U^a and V^b add to m and n, and
+moving U^a left past V^n adds the integer n*a to r (V^n U^a =
+e(param)^(n*a) U^a V^n).  A parenthesised factor with one term folds the
+same way, its scalar kept aside when it has several phases; one with
+several terms is multiplied in with ncalgebra.mul.  The terms of an
+expression are added into one dict.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import ExprSyntaxError
-from .exactscalar import GR_I, GaussRat, PhaseScalar
-from .ncalgebra import NCElement, Param, THETA, monomial, mul
+from .exactscalar import GR_I, GR_ONE, GR_ZERO, PhaseScalar, _accumulate
+from .ncalgebra import MonoKey, NCElement, Param, THETA, monomial, mul
 
-_TOKEN_RE = re.compile(r"\s*(?:(-?\d+)|([A-Za-z]+)|([+*^()/]))")
+_TOKEN_RE = re.compile(r"\s*(?:(-?\d+)|([A-Za-z]+)|([+*^()/])|(\S))")
 _NAMES = {"U", "V", "i", "ph"}
 #: deepest parenthesis nesting accepted; each level costs about three
 #: parser frames, so this stays well under the interpreter's recursion limit
 MAX_DEPTH = 100
 
-# token: (kind, text, position); kinds are 'int', 'name', or the symbol itself
+# token: (kind, text, position); kinds are 'int', 'name', 'end', or the symbol itself
 Token = Tuple[str, str, int]
 
 
 def _lex(text: str) -> List[Token]:
+    """The tokens of text, ending in an 'end' token at len(text)."""
     tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == match.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-        if match.group(1) is not None:
-            tokens.append(("int", match.group(1), match.start(1)))
-        elif match.group(2) is not None:
-            name = match.group(2)
+    for match in _TOKEN_RE.finditer(text):
+        num, name, sym, other = match.groups()
+        if num is not None:
+            tokens.append(("int", num, match.start(1)))
+        elif name is not None:
             if name not in _NAMES:
                 raise ExprSyntaxError(f"unknown symbol {name!r}", match.start(2))
             tokens.append(("name", name, match.start(2)))
-        else:
-            sym = match.group(3)
+        elif sym is not None:
             tokens.append((sym, sym, match.start(3)))
-        pos = match.end()
+        else:
+            raise ExprSyntaxError(f"unexpected character {other!r}", match.start(4))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, param: Param):
-        self.text = text
         self.param = param
         self.tokens = _lex(text)
         self.idx = 0
         self.depth = 0
 
-    def _peek(self) -> Optional[Token]:
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def _next(self, expect: Optional[str] = None) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.text))
-        if expect is not None and tok[0] != expect:
+    def _next(self, expect: str) -> Token:
+        tok = self.tokens[self.idx]
+        if tok[0] != expect:
+            if tok[0] == "end":
+                raise ExprSyntaxError("unexpected end of input", tok[2])
             raise ExprSyntaxError(f"expected {expect!r}, found {tok[1]!r}", tok[2])
         self.idx += 1
         return tok
 
     def parse(self) -> NCElement:
         el = self._expr()
-        tok = self._peek()
-        if tok is not None:
+        tok = self.tokens[self.idx]
+        if tok[0] != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return el
 
     def _expr(self) -> NCElement:
-        el = self._term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "+":
-                return el
-            self._next()
-            el = el + self._term()
+        acc: Dict[MonoKey, PhaseScalar] = {}
+        self._term(acc)
+        while self.tokens[self.idx][0] == "+":
+            self.idx += 1
+            self._term(acc)
+        return NCElement(self.param, acc)
 
-    def _term(self) -> NCElement:
-        el = self._factor()
+    def _term(self, acc: Dict[MonoKey, PhaseScalar]) -> None:
+        """Parse one term and add it into acc."""
+        g, r, m, n = GR_ONE, 0, 0, 0
+        # the product of the several-phase scalars met so far, and of the
+        # factors before the running monomial once a factor had several terms
+        scalar: Optional[PhaseScalar] = None
+        head: Optional[NCElement] = None
         while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "*":
-                return el
-            self._next()
-            el = mul(el, self._factor())
+            kind, text, pos = self.tokens[self.idx]
+            if kind == "int":
+                g = g * self._rat()
+            elif kind == "name":
+                self.idx += 1
+                if text == "i":
+                    g = g * GR_I
+                elif text == "ph":
+                    self._next("(")
+                    r += self._rat()
+                    self._next(")")
+                else:
+                    power = 1
+                    if self.tokens[self.idx][0] == "^":
+                        self.idx += 1
+                        power = int(self._next("int")[1])
+                    if text == "U":
+                        r += n * power
+                        m += power
+                    else:
+                        n += power
+            elif kind == "(":
+                factor = self._group(pos)
+                if len(factor.terms) == 1:
+                    ((a, b), c), = factor.terms.items()
+                    r += n * a
+                    m, n = m + a, n + b
+                    phases = c.terms
+                    if len(phases) == 1:
+                        (shift, coeff), = phases.items()
+                        g, r = g * coeff, r + shift
+                    else:
+                        scalar = c if scalar is None else scalar * c
+                elif not factor.terms:
+                    g = GR_ZERO
+                else:
+                    left = self._running(head, g, r, m, n, scalar)
+                    head = factor if left is None else mul(left, factor)
+                    g, r, m, n, scalar = GR_ONE, 0, 0, 0, None
+            elif kind == "end":
+                raise ExprSyntaxError("unexpected end of input", pos)
+            else:
+                raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+            if self.tokens[self.idx][0] != "*":
+                break
+            self.idx += 1
+        if head is None:
+            coeff = PhaseScalar.phase(r, g)
+            if coeff and scalar is not None:
+                coeff = coeff * scalar
+            if coeff:
+                _accumulate(acc, (m, n), coeff)
+            return
+        for key, c in self._running(head, g, r, m, n, scalar).terms.items():
+            _accumulate(acc, key, c)
 
-    def _rat(self) -> Fraction:
-        tok = self._next("int")
-        num = int(tok[1])
-        nxt = self._peek()
-        if nxt is None or nxt[0] != "/":
-            return Fraction(num)
-        self._next()
+    def _running(self, head: Optional[NCElement], g, r, m: int, n: int,
+                 scalar: Optional[PhaseScalar]) -> Optional[NCElement]:
+        """head times the running monomial; None when both are the identity."""
+        if g == 1 and not (r or m or n) and scalar is None:
+            return head
+        coeff = PhaseScalar.phase(r, g)
+        if scalar is not None:
+            coeff = coeff * scalar
+        mono = monomial(self.param, coeff, m, n)
+        return mono if head is None else mul(head, mono)
+
+    def _group(self, pos: int) -> NCElement:
+        if self.depth >= MAX_DEPTH:
+            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+        self.idx += 1
+        self.depth += 1
+        el = self._expr()
+        self.depth -= 1
+        self._next(")")
+        return el
+
+    def _rat(self) -> Union[int, Fraction]:
+        num = int(self._next("int")[1])
+        if self.tokens[self.idx][0] != "/":
+            return num
+        self.idx += 1
         den_tok = self._next("int")
         if den_tok[1].startswith("-"):
             raise ExprSyntaxError("denominator must be unsigned", den_tok[2])
@@ -119,45 +191,6 @@ class _Parser:
         if den == 0:
             raise ExprSyntaxError("zero denominator", den_tok[2])
         return Fraction(num, den)
-
-    def _scalar(self, c: PhaseScalar) -> NCElement:
-        return monomial(self.param, c, 0, 0)
-
-    def _factor(self) -> NCElement:
-        tok = self._peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.text))
-        kind, text, pos = tok
-        if kind == "int":
-            return self._scalar(PhaseScalar.from_gauss(GaussRat(self._rat())))
-        if kind == "name":
-            self._next()
-            if text == "i":
-                return self._scalar(PhaseScalar.from_gauss(GR_I))
-            if text == "ph":
-                self._next("(")
-                r = self._rat()
-                self._next(")")
-                return self._scalar(PhaseScalar.phase(r))
-            # U or V, optional integer power
-            power = 1
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == "^":
-                self._next()
-                power = int(self._next("int")[1])
-            if text == "U":
-                return monomial(self.param, PhaseScalar.one(), power, 0)
-            return monomial(self.param, PhaseScalar.one(), 0, power)
-        if kind == "(":
-            if self.depth >= MAX_DEPTH:
-                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
-            self._next()
-            self.depth += 1
-            el = self._expr()
-            self.depth -= 1
-            self._next(")")
-            return el
-        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
 
 def parse(text: str, param: Param = THETA) -> NCElement:

@@ -12,7 +12,10 @@ the one statement of the chain: _chain_points builds the tuple, and
 chain_parts, interval, member and certify all read it.  Since the chain
 puts the interval inside (2k/m - 1/(2m^2), 2k/m), a theta in it has
 m*theta/2 in (k - 1/(4m), k): for each m only k = floor(m*theta/2) + 1
-can contain theta, and member tests just that seed.  Any theta in
+can contain theta.  The window also lies within 1/(2s^2) above r/s, a
+fraction in lowest terms, so by Legendre's criterion s is a convergent
+denominator of theta: member walks those denominators and tests the one
+seed each can name (see member).  Any theta in
 the interval admits the full decomposition certificate: the negatively
 charged projection vector for (p, q) plus the parity image of the
 positively charged vector for (r, s) plus a flat remainder of trace
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .chern import ChernVector, chern_one, flat_vector, gamma_top, top_eb_minus, top_eq_plus
 from .errors import BadInput, BadSeed, ChainFailure, IndeterminateSign, NotCoprime
@@ -201,31 +204,90 @@ def seed_grid(max_km: int) -> List[SeedParams]:
             for k in range(1, (m - 1) // 2 + 1) if math.gcd(k, m) == 1]
 
 
+def _convergent_denominators(theta: Fraction) -> Iterator[int]:
+    """The denominators of theta's convergents, ascending, by Euclid's algorithm."""
+    num, den = theta.numerator, theta.denominator
+    q_prev, q = 0, 1
+    while True:
+        yield q
+        num, den = den, num % den
+        if not den:
+            return
+        q_prev, q = q, num // den * q + q_prev
+
+
 def member(theta: RationalLike, kappas: Kappas = DEFAULT_KAPPAS, kmax: int = 40) -> List[SeedParams]:
     """All seeds with k, m <= kmax whose interval contains theta, by (m, k).
 
     theta is an exact rational stand-in for the irrational of interest.
-    Only one seed per m is tried: a chain-valid interval lies inside
-    (2k/m - 1/(2m^2), 2k/m), so a theta in it has m*theta/2 in
-    (k - 1/(4m), k) and k = floor(m*theta/2) + 1.  Seeds whose chain
-    fails under these kappas are skipped.  Even-m seeds are kept, since
-    their intervals are part of the class, but they are not certifiable
-    (see SeedParams.certifiable): certify rejects them.
+    Seeds whose chain fails under these kappas are skipped.  Even-m seeds
+    are kept, since their intervals are part of the class, but they are
+    not certifiable (see SeedParams.certifiable): certify rejects them.
+
+    Only the seeds named by theta's convergents are tested, which finds
+    every hit:
+
+    - A chain-valid window lies inside (2k/m - 1/(2m^2), 2k/m), so a theta
+      in it has m*theta/2 in (k - 1/(4m), k): for each m only
+      k(m) = floor(m*theta/2) + 1 can hold theta.
+    - The window lies in (r/s, r/s + kappa2/s^2), and Kappas forces
+      kappa2 <= 1/2, so a theta in it has 0 < theta - r/s < 1/(2s^2).
+      r/s is in lowest terms, since ps - qr = 1.  By Legendre's criterion
+      r/s is then a convergent of theta, and s a convergent denominator.
+      For rational theta the criterion holds with the expansion Euclid's
+      algorithm gives, whose last quotient is at least 2.
+    - k(m) never decreases as m grows, so s(m) = (4m*k(m) + 1)^2 + 4m^2
+      strictly increases, and each convergent denominator in
+      [s(3), s(kmax)] names at most one m, found by binary search.
+
+    That seed is tested exactly as before: its chain points, its five
+    links and its open window.
     """
+    return member_walk(theta, kappas, kmax)[0]
+
+
+def member_walk(theta: RationalLike, kappas: Kappas = DEFAULT_KAPPAS,
+                kmax: int = 40) -> Tuple[List[SeedParams], int]:
+    """member's seeds, and how many convergent denominators of theta it examined."""
     theta = as_fraction(theta)
     if not 0 < theta < 1:
         raise BadInput(f"theta must lie in (0, 1), got {theta}")
     hits: List[SeedParams] = []
-    for m in range(3, kmax + 1):
-        k = m * theta.numerator // (2 * theta.denominator) + 1
+    if kmax < 3:
+        return hits, 0
+    num, twice_den = theta.numerator, 2 * theta.denominator
+
+    def s_of(m: int) -> int:
+        n = 4 * m * (m * num // twice_den + 1) + 1
+        return n * n + 4 * m * m
+
+    s_lo, s_hi = s_of(3), s_of(kmax)
+    examined, m_lo = 0, 3
+    for s in _convergent_denominators(theta):
+        if s > s_hi:
+            break
+        if s < s_lo:
+            continue
+        examined += 1
+        # the least m in [m_lo, kmax] with s_of(m) >= s; later s give larger m
+        hi = kmax
+        while m_lo < hi:
+            mid = (m_lo + hi) // 2
+            if s_of(mid) < s:
+                m_lo = mid + 1
+            else:
+                hi = mid
+        if s_of(m_lo) != s:
+            continue
+        m = m_lo
+        k = m * num // twice_den + 1
         if 2 * k >= m or math.gcd(k, m) != 1:
             continue
         seed = SeedParams(k, m)
         points = _chain_points(seed, derive(seed), kappas)
-        # the links force points[0] < theta < points[5], which is what pins k
         if points[2] < theta < points[3] and all(_links(points).values()):
             hits.append(seed)
-    return hits
+    return hits, examined
 
 
 def _int_or_rat(x: Fraction):

@@ -275,6 +275,21 @@ class TestOutputLines:
         run(["gclass", "member", "--theta", f"{theta.numerator}/{theta.denominator}", "-o", str(out)])
         assert json.loads(out.read_text())["seeds"] == [{"k": 1, "m": 3, "certifiable": True}]
 
+    def test_member_with_huge_kmax(self, capsys, tmp_path):
+        # the bound on m no longer costs a step per m
+        out = tmp_path / "member.json"
+        assert run(["gclass", "member", "--theta", "1/3", "--kmax", "1000000000000000000", "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "0 seed(s) contain theta = 1/3"
+        assert json.loads(out.read_text()) == {"theta": "1/3", "seeds": [], "convergents": 0}
+
+    def test_member_counts_convergents_read(self, capsys, tmp_path):
+        # 73/1156 = [0; 15, 1, 5, 12] has denominators 1, 15, 16, 95 and 1156, and only
+        # 1156 lies in [s(3), s(40)] = [205, 109441]
+        out = tmp_path / "member.json"
+        assert run(["gclass", "member", "--theta", "73/1156", "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "0 seed(s) contain theta = 73/1156"
+        assert json.loads(out.read_text()) == {"theta": "73/1156", "seeds": [], "convergents": 1}
+
     def test_trace_eval_output(self, capsys):
         # printed by the code that formed the product before taking psi
         expr = "(U + i*V)*(U*V^2 + ph(1/3)*V + 2*U^2*V^3)"

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from nctorus import ExprSyntaxError, ONE_MINUS_THETA, PhaseScalar, THETA, parse, unparse
-from nctorus.exactscalar import GaussRat
+from nctorus.exactscalar import GR_I, GaussRat
 from nctorus.exprcli import MAX_DEPTH
 from nctorus.ncalgebra import monomial, mul, one, zero
 
@@ -60,6 +60,82 @@ class TestParse:
         assert parse("  U *V ^ -1 ") == parse("U*V^-1")
 
 
+#: atoms as text, each with its value built directly; U, V powers and rationals signed
+ATOMS = st.one_of(
+    st.tuples(st.integers(-3, 3), st.sampled_from((1, 2, 3))).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}", lambda p: monomial(p, PhaseScalar.from_gauss(GaussRat(F(*nd))), 0, 0))),
+    st.just(("i", lambda p: monomial(p, PhaseScalar.from_gauss(GR_I), 0, 0))),
+    st.tuples(st.integers(-4, 4), st.sampled_from((1, 2, 4))).map(
+        lambda nd: (f"ph({nd[0]}/{nd[1]})", lambda p: monomial(p, PhaseScalar.phase(F(*nd)), 0, 0))),
+    st.tuples(st.sampled_from("UV"), st.integers(-3, 3)).map(
+        lambda gp: (f"{gp[0]}^{gp[1]}",
+                    lambda p: monomial(p, PhaseScalar.one(), *((gp[1], 0) if gp[0] == "U" else (0, gp[1]))))),
+)
+
+
+def _expr_of(terms):
+    """An expression from (text, value) terms: the sum of the values."""
+    return " + ".join(text for text, _ in terms), lambda p: sum((value(p) for _, value in terms), zero(p))
+
+
+def _term_of(factors):
+    """A term from (text, value) factors: their values multiplied left to right with mul."""
+    def value(p):
+        out = one(p)
+        for _, factor in factors:
+            out = mul(out, factor(p))
+        return out
+    return "*".join(text for text, _ in factors), value
+
+
+def _group(expr):
+    return f"({expr[0]})", expr[1]
+
+
+# factor := atom | '(' expr ')', expr := term ('+' term)*, term := factor ('*' factor)*
+EXPRS = st.recursive(
+    ATOMS.map(lambda atom: _expr_of([_term_of([atom])])),
+    lambda inner: st.lists(st.lists(st.one_of(ATOMS, inner.map(_group)), min_size=1, max_size=4).map(_term_of),
+                           min_size=1, max_size=3).map(_expr_of),
+    max_leaves=12,
+)
+
+
+class TestOnePassFold:
+    """parse against the product, left to right with mul, of each factor parsed alone."""
+
+    @given(EXPRS, st.sampled_from((THETA, ONE_MINUS_THETA)))
+    def test_matches_factor_by_factor_product(self, expr, param):
+        text, value = expr
+        assert parse(text, param) == value(param), text
+
+    @pytest.mark.parametrize("text", [
+        "(1 + ph(1/2))*U",                       # a compound scalar
+        "V*(1 + ph(1/2))*U*(2 + -1*ph(-1/3))",   # two compound scalars around a reorder
+        "(3 + -1*i)*V^2*U",                      # a one-term group of several literals
+        "(U + V)*V^-1*U^2",                      # several terms at the start of a term
+        "V*U^-1*(U + i*V)*U",                    # in the middle
+        "2*V*U*(U^-1 + ph(1/4)*V)",              # at the end
+        "(U + V)*(U + -1*V)*(1 + ph(1))",        # two in a row, then a compound scalar
+        "(1 + ph(1/2))*(U + V)*V",               # a compound scalar, then several terms
+        "0*U", "U*0*V", "U*(U + -1*U)", "(U + -1*U)*(U + V)", "(U + V)*0",
+        "((U + (V*U + 1)*V)*(i + U))*V^-2",      # nesting
+        "V^3*U^2", "V^-3*U^2", "V^3*U^-2", "V^-2*U^-3",
+    ])
+    def test_named_cases(self, text):
+        factors = []
+        depth, start = 0, 0
+        for pos, ch in enumerate(text + "*"):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "*" and depth == 0:
+                factors.append(text[start:pos])
+                start = pos + 1
+        want = one()
+        for factor in factors:
+            want = mul(want, parse(factor[1:-1]) if factor.startswith("(") else parse(factor))
+        assert parse(text) == want
+
+
 class TestErrors:
     CASES = (
         ("U + + V", 4),
@@ -74,8 +150,15 @@ class TestErrors:
         ("1/0", 2),
     )
 
+    #: the lexer's catch-all character and trailing whitespace, at the positions they always had
+    LEXER_CASES = (
+        ("U - V", 2),
+        ("U # V", 2),
+        ("U *  ", 5),
+    )
+
     def test_positions(self):
-        for text, pos in self.CASES:
+        for text, pos in self.CASES + self.LEXER_CASES:
             with pytest.raises(ExprSyntaxError) as err:
                 parse(text)
             assert err.value.position == pos, f"{text!r}: {err.value}"

@@ -241,6 +241,50 @@ def test_member_matches_scan_of_every_seed(kappas):
     assert hits >= 3 * sum(iv is not None for _, iv in table)
 
 
+def _member_scan(theta, kappas, kmax):
+    """The linear scan member replaced: for each m <= kmax, test the one seed k = floor(m*theta/2) + 1."""
+    hits = []
+    for m in range(3, kmax + 1):
+        k = m * theta.numerator // (2 * theta.denominator) + 1
+        if 2 * k >= m or gcd(k, m) != 1:
+            continue
+        seed = SeedParams(k, m)
+        if all(chain_parts(seed, kappas).values()):
+            iv = interval(seed, kappas)
+            if iv.lo < theta < iv.hi:
+                hits.append(seed)
+    return hits
+
+
+@st.composite
+def member_thetas(draw):
+    """A random rational in (0, 1), or a point just inside or outside a seed window."""
+    if draw(st.booleans()):
+        den = draw(st.integers(min_value=2, max_value=10**6))
+        return F(draw(st.integers(min_value=1, max_value=den - 1)), den)
+    seed = draw(valid_seeds(max_km=max(SCAN_KMAX)))
+    kappas = draw(st.sampled_from(SCAN_KAPPAS))
+    assume(verify_chain(seed, kappas))
+    iv = interval(seed, kappas)
+    end = draw(st.sampled_from((iv.lo, iv.hi)))
+    return end + draw(st.sampled_from((-1, 1))) * iv.width() / 1000
+
+
+@pytest.mark.parametrize("kappas", SCAN_KAPPAS, ids=lambda kap: f"{kap.k1}-{kap.k2}")
+@given(theta=member_thetas())
+def test_member_matches_linear_scan(kappas, theta):
+    for kmax in SCAN_KMAX:
+        assert member(theta, kappas, kmax) == _member_scan(theta, kappas, kmax), kmax
+
+
+def test_member_finds_a_seed_beyond_any_scan():
+    # m > 10^15: the linear scan could not reach this seed
+    seed = SeedParams(10**15 // 2, 10**15 + 1)
+    theta = interval(seed, DEFAULT_KAPPAS).midpoint()
+    assert member(theta, DEFAULT_KAPPAS, kmax=seed.m) == [seed]
+    assert member(theta, DEFAULT_KAPPAS, kmax=seed.m - 1) == []
+
+
 class TestLemma31:
     def test_rejects_degenerate_pairs(self):
         window = Interval(F(1, 3), F(1, 2))
@@ -346,10 +390,27 @@ class TestOneDerivationPerSeed:
         certify(SeedParams(3, 11), DEFAULT_KAPPAS)
         assert calls == [SeedParams(3, 11)]
 
-    def test_member_derives_each_scanned_seed_once(self, calls):
-        member(F(73, 1156), DEFAULT_KAPPAS, kmax=20)
-        assert calls == [SeedParams(1, m) for m in range(3, 21)]
-        assert len(calls) == 18
+    @staticmethod
+    def _convergent_count(theta):
+        count, (num, den) = 0, (theta.numerator, theta.denominator)
+        while den:
+            num, den = den, num % den
+            count += 1
+        return count
+
+    def test_member_derives_at_most_once_per_convergent(self, calls):
+        seed = SeedParams(3, 11)
+        for theta in (F(73, 1156), interval(seed, DEFAULT_KAPPAS).midpoint(), F(355, 1133)):
+            calls.clear()
+            hits = member(theta, DEFAULT_KAPPAS, kmax=200)
+            assert len(set(calls)) == len(calls)
+            assert len(calls) <= self._convergent_count(theta)
+            assert set(hits) <= set(calls)
+        # a theta inside seed 3/11 derives it exactly once
+        theta = interval(seed, DEFAULT_KAPPAS).midpoint()
+        calls.clear()
+        assert member(theta, DEFAULT_KAPPAS, kmax=200) == [seed]
+        assert calls.count(seed) == 1
 
 
 class TestIdentityFailuresReported:

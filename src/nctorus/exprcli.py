@@ -18,9 +18,9 @@ A term folds its factors left to right into one running
 g*e(param*r)*U^m V^n, g a Gaussian rational and r a rational: a literal
 or i multiplies g, ph(r) adds to r, U^a and V^b add to m and n, and
 moving U^a left past V^n adds the integer n*a to r (V^n U^a =
-e(param)^(n*a) U^a V^n).  A parenthesised factor with one term folds the
-same way, its scalar kept aside when it has several phases; one with
-several terms is multiplied in with ncalgebra.mul.  The terms of an
+e(param)^(n*a) U^a V^n).  A parenthesised factor with one term and one
+phase folds the same way; any other non-zero one, such as (1 + ph(1/2)),
+is multiplied in with ncalgebra.mul.  The terms of an
 expression are added into one dict.
 """
 
@@ -97,9 +97,7 @@ class _Parser:
     def _term(self, acc: Dict[MonoKey, PhaseScalar]) -> None:
         """Parse one term and add it into acc."""
         g, r, m, n = GR_ONE, 0, 0, 0
-        # the product of the several-phase scalars met so far, and of the
-        # factors before the running monomial once a factor had several terms
-        scalar: Optional[PhaseScalar] = None
+        # the factors before the running monomial, once a group went through mul
         head: Optional[NCElement] = None
         while True:
             kind, text, pos = self.tokens[self.idx]
@@ -125,22 +123,19 @@ class _Parser:
                         n += power
             elif kind == "(":
                 factor = self._group(pos)
-                if len(factor.terms) == 1:
-                    ((a, b), c), = factor.terms.items()
-                    r += n * a
+                terms = factor.terms
+                phases = next(iter(terms.values())).terms if len(terms) == 1 else ()
+                if len(phases) == 1:
+                    ((a, b), _), = terms.items()
+                    (shift, coeff), = phases.items()
+                    g, r = g * coeff, r + n * a + shift
                     m, n = m + a, n + b
-                    phases = c.terms
-                    if len(phases) == 1:
-                        (shift, coeff), = phases.items()
-                        g, r = g * coeff, r + shift
-                    else:
-                        scalar = c if scalar is None else scalar * c
-                elif not factor.terms:
+                elif not terms:
                     g = GR_ZERO
                 else:
-                    left = self._running(head, g, r, m, n, scalar)
+                    left = self._running(head, g, r, m, n)
                     head = factor if left is None else mul(left, factor)
-                    g, r, m, n, scalar = GR_ONE, 0, 0, 0, None
+                    g, r, m, n = GR_ONE, 0, 0, 0
             elif kind == "end":
                 raise ExprSyntaxError("unexpected end of input", pos)
             else:
@@ -150,23 +145,17 @@ class _Parser:
             self.idx += 1
         if head is None:
             coeff = PhaseScalar.phase(r, g)
-            if coeff and scalar is not None:
-                coeff = coeff * scalar
             if coeff:
                 _accumulate(acc, (m, n), coeff)
             return
-        for key, c in self._running(head, g, r, m, n, scalar).terms.items():
+        for key, c in self._running(head, g, r, m, n).terms.items():
             _accumulate(acc, key, c)
 
-    def _running(self, head: Optional[NCElement], g, r, m: int, n: int,
-                 scalar: Optional[PhaseScalar]) -> Optional[NCElement]:
+    def _running(self, head: Optional[NCElement], g, r, m: int, n: int) -> Optional[NCElement]:
         """head times the running monomial; None when both are the identity."""
-        if g == 1 and not (r or m or n) and scalar is None:
+        if g == 1 and not (r or m or n):
             return head
-        coeff = PhaseScalar.phase(r, g)
-        if scalar is not None:
-            coeff = coeff * scalar
-        mono = monomial(self.param, coeff, m, n)
+        mono = monomial(self.param, PhaseScalar.phase(r, g), m, n)
         return mono if head is None else mul(head, mono)
 
     def _group(self, pos: int) -> NCElement:

@@ -118,6 +118,8 @@ class TestOnePassFold:
         "2*V*U*(U^-1 + ph(1/4)*V)",              # at the end
         "(U + V)*(U + -1*V)*(1 + ph(1))",        # two in a row, then a compound scalar
         "(1 + ph(1/2))*(U + V)*V",               # a compound scalar, then several terms
+        "V^2*(ph(1/3)*U^-1*V)*U",                # a one-term group moved past V^2
+        "V*(ph(1/2)*U + ph(1/3)*U)*V",           # a one-term group of several phases
         "0*U", "U*0*V", "U*(U + -1*U)", "(U + -1*U)*(U + V)", "(U + V)*0",
         "((U + (V*U + 1)*V)*(i + U))*V^-2",      # nesting
         "V^3*U^2", "V^-3*U^2", "V^3*U^-2", "V^-2*U^-3",

@@ -136,14 +136,13 @@ def flat_vector(trace: ThetaLinear) -> ChernVector:
     return ChernVector(trace, top_flat())
 
 
-def top_E(trace: ThetaLinear = ThetaLinear(0, 1)) -> ChernVector:
+def top_E() -> ChernVector:
     """Invariant vector of the universal projection section.
 
-    The section's trace is a formal parameter; by default it is the
-    coordinate itself (slope one), which callers specialize through the
-    transfer maps.
+    The section's trace is the coordinate itself (slope one), which
+    callers specialize through the transfer maps.
     """
-    return ChernVector(trace, _top(HALF_ONE_MINUS_I, HALF_ONE_MINUS_I, _HALF, _HALF, 1))
+    return ChernVector(ThetaLinear(0, 1), _top(HALF_ONE_MINUS_I, HALF_ONE_MINUS_I, _HALF, _HALF, 1))
 
 
 def _require_coprime(p: int, q: int) -> None:

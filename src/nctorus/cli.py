@@ -5,8 +5,9 @@ rule: 1 iff the report's ok (overall, for a single certificate) is false,
 2 on usage or domain errors, else 0.  A ChainFailure or IndeterminateSign
 becomes the report {"ok": false, "error": ...}, or in a --grid or a
 cover that seed's entry; an empty --grid, --sweep or member --kmax is a
-usage error; chern top's report carries ok.  Results print to standard
-output; -o FILE also writes the report, on failure too.
+usage error, as is running out of memory; chern top's report carries ok.
+Results print to standard output; -o FILE also writes the report, on
+failure too.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         payload = args.handler(args)
-    except (BadInput, DomainPhase, ParamMismatch, ExprSyntaxError, ValueError) as exc:
+    except (BadInput, DomainPhase, ParamMismatch, ExprSyntaxError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ChainFailure, IndeterminateSign) as exc:

@@ -7,7 +7,8 @@ Everything here is exact: Gaussian rationals, formal phase sums
 componentwise.  No floating point enters this module.
 
 The two scalar types under every law check hold plain ints, so their
-arithmetic makes no Fraction:
+arithmetic makes no Fraction; like ncalgebra's NCElement they are
+hand-written, not dataclasses, because every hot path runs through them:
 
 - GaussRat is a triple (a, b, d) meaning (a + b*i)/d, with d > 0 and
   gcd(a, b, d) = 1; one gcd call puts a result in that form.
@@ -24,6 +25,7 @@ over one common denominator, brought to lowest terms once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -251,10 +253,6 @@ class PhaseScalar:
         return PS_ONE
 
     @staticmethod
-    def from_gauss(c: GaussRat) -> "PhaseScalar":
-        return _ps_raw(1, {0: c}) if c else PS_ZERO
-
-    @staticmethod
     def phase(r: RationalLike, coeff: GaussRat = GR_ONE) -> "PhaseScalar":
         """coeff * e(theta*r)."""
         if not coeff:
@@ -409,25 +407,16 @@ PS_ZERO = _ps_raw(1, {})
 PS_ONE = _ps_raw(1, {0: GR_ONE})
 
 
+@dataclass(frozen=True, slots=True)
 class ThetaLinear:
     """An exact quantity a + b*theta."""
 
-    __slots__ = ("const", "slope")
+    const: Fraction = Fraction(0)
+    slope: Fraction = Fraction(0)
 
-    def __init__(self, const: RationalLike = 0, slope: RationalLike = 0):
-        object.__setattr__(self, "const", as_fraction(const))
-        object.__setattr__(self, "slope", as_fraction(slope))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaLinear is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ThetaLinear):
-            return self.const == other.const and self.slope == other.slope
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.const, self.slope))
+    def __post_init__(self):
+        object.__setattr__(self, "const", as_fraction(self.const))
+        object.__setattr__(self, "slope", as_fraction(self.slope))
 
     def __add__(self, other: "ThetaLinear") -> "ThetaLinear":
         return ThetaLinear(self.const + other.const, self.slope + other.slope)
@@ -450,36 +439,22 @@ class ThetaLinear:
     def __str__(self) -> str:
         return f"{self.const} + {self.slope}*theta"
 
-    def __repr__(self) -> str:
-        return f"ThetaLinear({self.const!r}, {self.slope!r})"
-
     def to_json(self) -> dict:
         return {"const": rat_str(self.const), "theta": rat_str(self.slope)}
 
 
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Open interval (lo, hi) with exact rational endpoints, lo < hi."""
 
-    __slots__ = ("lo", "hi")
+    lo: Fraction
+    hi: Fraction
 
-    def __init__(self, lo: RationalLike, hi: RationalLike):
-        lo = as_fraction(lo)
-        hi = as_fraction(hi)
-        if not lo < hi:
-            raise BadInput(f"empty interval: lo={lo} must be < hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Interval):
-            return self.lo == other.lo and self.hi == other.hi
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
+    def __post_init__(self):
+        object.__setattr__(self, "lo", as_fraction(self.lo))
+        object.__setattr__(self, "hi", as_fraction(self.hi))
+        if not self.lo < self.hi:
+            raise BadInput(f"empty interval: lo={self.lo} must be < hi={self.hi}")
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -489,9 +464,6 @@ class Interval:
 
     def __str__(self) -> str:
         return f"({self.lo}, {self.hi})"
-
-    def __repr__(self) -> str:
-        return f"Interval({self.lo!r}, {self.hi!r})"
 
     def to_json(self) -> dict:
         return {"lo": rat_str(self.lo), "hi": rat_str(self.hi)}

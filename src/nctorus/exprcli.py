@@ -189,18 +189,6 @@ def parse(text: str, param: Param = THETA) -> NCElement:
     return _Parser(text, param).parse()
 
 
-def _has_toplevel_plus(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            return True
-    return False
-
-
 def unparse(x: NCElement) -> str:
     """Canonical text: terms in lexicographic (m, n) order, grammar-valid."""
     if not x.terms:
@@ -222,8 +210,10 @@ def unparse(x: NCElement) -> str:
         if c == one:
             pieces.append(gen_str)
             continue
-        cs = str(c)
-        if _has_toplevel_plus(cs):
-            cs = f"({cs})"
+        # str(c) has a top-level " + " exactly when c has several phases,
+        # or one phase-free Gaussian rational with both parts nonzero
+        keys = c._keys
+        g = keys.get(0)
+        cs = f"({c})" if len(keys) > 1 or (g is not None and g._a and g._b) else str(c)
         pieces.append(f"{cs}*{gen_str}")
     return " + ".join(pieces)

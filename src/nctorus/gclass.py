@@ -22,6 +22,9 @@ positively charged vector for (r, s) plus a flat remainder of trace
 4m^2(A - B*theta) add up exactly to the identity's vector.  certify()
 assembles the whole record; every inequality is decided with exact
 integer cross-multiplication and every identity with exact rationals.
+Three of its named checks are read from others: tau0_formula is the
+identities s2_q2_eq_4m2_B and one_rs_pq_eq_4m2_A, flat_trace is
+tau0_formula, and kappa2_below_s_over_B is tau0_positive (see certify).
 """
 
 from __future__ import annotations
@@ -393,15 +396,11 @@ class Certificate:
     gamma_plus_vector: ChernVector
     flat_vector: ChernVector
     vector_sum: ChernVector
-    vector_expected: ChernVector
     sum_ok: bool
     tau0: ThetaLinear
     tau0_formula_ok: bool
     tau0_positive: bool
-    kappa2_below_s_over_B: bool
     tau_g: ThetaLinear
-    tau_f: ThetaLinear
-    flat_trace_ok: bool
     lemma31: Lemma31Record
 
     def checks(self) -> Dict[str, bool]:
@@ -412,10 +411,10 @@ class Certificate:
             "vector_sum": self.sum_ok,
             "tau0_formula": self.tau0_formula_ok,
             "tau0_positive": self.tau0_positive,
-            "kappa2_below_s_over_B": self.kappa2_below_s_over_B,
+            "kappa2_below_s_over_B": self.tau0_positive,
             "split_identity": self.lemma31.identity_ok,
             "split_bound": self.lemma31.bound_ok,
-            "flat_trace": self.flat_trace_ok,
+            "flat_trace": self.tau0_formula_ok,
         }
 
     @property
@@ -435,16 +434,16 @@ class Certificate:
                 "gamma_plus": self.gamma_plus_vector.to_json(),
                 "flat": self.flat_vector.to_json(),
                 "sum": self.vector_sum.to_json(),
-                "expected": self.vector_expected.to_json(),
+                "expected": chern_one().to_json(),
                 "sum_ok": self.sum_ok,
             },
             "tau0": self.tau0.to_json(),
             "tau0_formula_ok": self.tau0_formula_ok,
             "tau0_positive": self.tau0_positive,
-            "kappa2_below_s_over_B": self.kappa2_below_s_over_B,
+            "kappa2_below_s_over_B": self.tau0_positive,
             "tau_g": self.tau_g.to_json(),
-            "tau_f": self.tau_f.to_json(),
-            "flat_trace_ok": self.flat_trace_ok,
+            "tau_f": (4 * self.tau_g).to_json(),
+            "flat_trace_ok": self.tau0_formula_ok,
             "lemma31": self.lemma31.to_json(),
             "overall": self.overall,
         }
@@ -474,15 +473,17 @@ def certify(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Certificate:
     tau0 = ThetaLinear(1 + d.r * d.s - d.p * d.q, -(d.s * d.s - d.q * d.q))
     flat_v = flat_vector(tau0)
     total = minus_v + gplus_v + flat_v
-    expected = chern_one()
-    sum_ok = total == expected
+    sum_ok = total == chern_one()
 
-    m2 = m * m
-    tau_g = ThetaLinear(m2 * d.A, -m2 * d.B)
-    tau_f = 4 * tau_g
-    tau0_formula_ok = tau_f == tau0  # 4m^2(A - B*theta), which is also the flat trace
+    # tau0 == 4*tau_g is exactly 4m^2*A = 1 + rs - pq and 4m^2*B = s^2 - q^2
+    tau0_formula_ok = identities["s2_q2_eq_4m2_B"] and identities["one_rs_pq_eq_4m2_A"]
+    tau_g = ThetaLinear(m * m * d.A, -m * m * d.B)
+    # This sign is also kappa2_below_s_over_B.  B > 0, so A - B*theta falls
+    # across the window, and is positive there iff A - B*hi >= 0 with
+    # hi = (rs + kappa2)/s^2, that is s(sA - Br) >= kappa2*B, which is
+    # s >= kappa2*B once sA - Br = 1.  Equality cannot hold: 2s = B + 4m^2
+    # and kappa2 <= 1/2 give kappa2*B < s.
     tau0_positive = tl_sign(ThetaLinear(d.A, -d.B), window) == 1
-    kappa_route = kappas.k2 * d.B < d.s  # with 2s = B + 4m^2 this pins A - B*theta > 0
 
     # split t = m*(A - B*theta), re-expressed in the complementary
     # coordinate 1 - theta, across (N, M) = (m, m - 2k); the window
@@ -502,15 +503,11 @@ def certify(seed: SeedParams, kappas: Kappas = DEFAULT_KAPPAS) -> Certificate:
         gamma_plus_vector=gplus_v,
         flat_vector=flat_v,
         vector_sum=total,
-        vector_expected=expected,
         sum_ok=sum_ok,
         tau0=tau0,
         tau0_formula_ok=tau0_formula_ok,
         tau0_positive=tau0_positive,
-        kappa2_below_s_over_B=kappa_route,
         tau_g=tau_g,
-        tau_f=tau_f,
-        flat_trace_ok=tau0_formula_ok,
         lemma31=rec,
     )
 

@@ -13,44 +13,33 @@ the reparametrizing morphisms nu and zeta convert them back to base theta.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ParamMismatch
-from .exactscalar import PhaseScalar, RationalLike, _accumulate, as_fraction
+from .exactscalar import PhaseScalar, _accumulate, as_fraction
 
 MonoKey = Tuple[int, int]
 
 
+@dataclass(frozen=True, slots=True)
 class Param:
     """The algebra parameter lam*theta + mu, lam != 0."""
 
-    __slots__ = ("lam", "mu")
+    lam: Fraction
+    mu: Fraction = Fraction(0)
 
-    def __init__(self, lam: RationalLike, mu: RationalLike = 0):
-        lam = as_fraction(lam)
-        if not lam:
+    def __post_init__(self):
+        object.__setattr__(self, "lam", as_fraction(self.lam))
+        if not self.lam:
             raise ValueError("parameter slope lam must be nonzero")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", as_fraction(mu))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Param is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Param):
-            return self.lam == other.lam and self.mu == other.mu
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lam, self.mu))
+        object.__setattr__(self, "mu", as_fraction(self.mu))
 
     def __str__(self) -> str:
         if self.lam == 1 and self.mu == 0:
             return "theta"
         return f"{self.lam}*theta + {self.mu}"
-
-    def __repr__(self) -> str:
-        return f"Param({self.lam!r}, {self.mu!r})"
 
 
 #: base parameter theta itself

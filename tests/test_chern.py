@@ -174,7 +174,7 @@ class TestTransfers:
         assert out.top == TopVector(HPI, HMI, HALF, -HALF, F(1))
 
     def test_nu_transfer_involutive_on_traces(self):
-        v = top_E(ThetaLinear(2, -5))
+        v = ChernVector(ThetaLinear(2, -5), top_E().top)
         assert nu_transfer(nu_transfer(v)).trace == v.trace
 
 

@@ -38,6 +38,18 @@ class TestExitCodes:
         assert run(["gclass", "interval", "-k", "2", "-m", "6"]) == 2
         assert run(["gclass", "cover", "--seeds", "2/6,2/5"]) == 2
 
+    def test_out_of_memory_is_a_usage_error(self, monkeypatch, capsys):
+        # the stub fails as numpy does on a matrix too large for memory, allocating nothing
+        def too_large(q, p):
+            raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({q}, {q})")
+
+        monkeypatch.setattr(matrixmodel, "fourier_intertwiner", too_large)
+        assert run(["matrix", "verify", "-q", "1000003", "-p", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: Unable to allocate 7.28 TiB for an array with shape "
+                                "(1000003, 1000003)\n")
+        assert captured.out == ""
+
     def test_cover_takes_seeds_as_written(self, capsys):
         # 2/6 is not reduced to 1/3, as interval -k 2 -m 6 is not
         assert run(["gclass", "cover", "--seeds", "2/6,2/5"]) == 2
@@ -310,7 +322,8 @@ class TestOutputLines:
         assert run(["gclass", "certify", "--grid", "5", "-o", str(out)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("seed ")] == [
-            "seed 1/3: PASS", "seed 1/5: FAIL (tau0_positive)", "seed 2/5: FAIL (tau0_positive)"]
+            "seed 1/3: PASS", "seed 1/5: FAIL (tau0_positive, kappa2_below_s_over_B)",
+            "seed 2/5: FAIL (tau0_positive, kappa2_below_s_over_B)"]
         assert "grid of 3 seeds: FAIL" in lines
         entries = json.loads(out.read_text())["certificates"]
         assert [entry["overall"] for entry in entries] == [True, False, False]

@@ -70,7 +70,7 @@ class TestPhaseScalar:
         y = PhaseScalar.phase(2)
         assert x * y == PhaseScalar.phase(3) + PhaseScalar.phase(1)
         assert PhaseScalar.phase(1) - PhaseScalar.phase(1) == PS_ZERO
-        assert PhaseScalar.from_gauss(GR_ONE) == PS_ONE
+        assert PhaseScalar.phase(0, GR_ONE) == PS_ONE
 
     def test_shift_translates_exponents(self):
         x = PhaseScalar.phase(F(1, 2), GR_I) + PS_ONE
@@ -151,6 +151,26 @@ class TestThetaLinear:
     def test_str(self):
         assert str(ThetaLinear(1, -2)) == "1 + -2*theta"
         assert str(ThetaLinear(F(1, 2), F(3, 4))) == "1/2 + 3/4*theta"
+
+
+class TestValueTypes:
+    def test_fields_are_frozen(self):
+        for value, field in ((ThetaLinear(1, 2), "const"), (Interval(0, 1), "hi")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, F(3))
+
+    def test_int_and_fraction_inputs_agree(self):
+        pairs = ((ThetaLinear(2, -5), ThetaLinear(F(2), F(-5))), (ThetaLinear(), ThetaLinear(F(0), F(0))),
+                 (Interval(0, 1), Interval(F(0), F(1))))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert type(ThetaLinear(2, -5).const) is F and type(Interval(0, 1).hi) is F
+
+    def test_rejects_bad_values(self):
+        with pytest.raises(BadInput, match="empty interval"):
+            Interval(1, 1)
+        with pytest.raises(TypeError):
+            ThetaLinear(0.5, 1)
 
 
 class TestInterval:

@@ -30,15 +30,15 @@ class TestParse:
         assert unparse(parse("V*U")) == "ph(1)*U*V"
 
     def test_scalars(self):
-        assert parse("2/3") == mono(0, 0, c=PhaseScalar.from_gauss(GaussRat(F(2, 3))))
-        assert parse("i*i") == mono(0, 0, c=PhaseScalar.from_gauss(GaussRat(-1)))
+        assert parse("2/3") == mono(0, 0, c=PhaseScalar.phase(0, GaussRat(F(2, 3))))
+        assert parse("i*i") == mono(0, 0, c=PhaseScalar.phase(0, GaussRat(-1)))
         assert parse("ph(1/2)") == mono(0, 0, c=PhaseScalar.phase(F(1, 2)))
-        assert parse("-2*U") == mono(1, 0, c=PhaseScalar.from_gauss(GaussRat(-2)))
+        assert parse("-2*U") == mono(1, 0, c=PhaseScalar.phase(0, GaussRat(-2)))
 
     def test_sums_and_precedence(self):
         x = parse("U*V + 1/2*V^-1")
         assert len(x.terms) == 2
-        assert x == mul(mono(1, 0), mono(0, 1)) + mono(0, -1, c=PhaseScalar.from_gauss(GaussRat(F(1, 2))))
+        assert x == mul(mono(1, 0), mono(0, 1)) + mono(0, -1, c=PhaseScalar.phase(0, GaussRat(F(1, 2))))
         # product binds tighter than sum
         assert parse("U + V*U") == mono(1, 0) + mono(1, 1, c=PhaseScalar.phase(1))
 
@@ -63,8 +63,8 @@ class TestParse:
 #: atoms as text, each with its value built directly; U, V powers and rationals signed
 ATOMS = st.one_of(
     st.tuples(st.integers(-3, 3), st.sampled_from((1, 2, 3))).map(
-        lambda nd: (f"{nd[0]}/{nd[1]}", lambda p: monomial(p, PhaseScalar.from_gauss(GaussRat(F(*nd))), 0, 0))),
-    st.just(("i", lambda p: monomial(p, PhaseScalar.from_gauss(GR_I), 0, 0))),
+        lambda nd: (f"{nd[0]}/{nd[1]}", lambda p: monomial(p, PhaseScalar.phase(0, GaussRat(F(*nd))), 0, 0))),
+    st.just(("i", lambda p: monomial(p, PhaseScalar.phase(0, GR_I), 0, 0))),
     st.tuples(st.integers(-4, 4), st.sampled_from((1, 2, 4))).map(
         lambda nd: (f"ph({nd[0]}/{nd[1]})", lambda p: monomial(p, PhaseScalar.phase(F(*nd)), 0, 0))),
     st.tuples(st.sampled_from("UV"), st.integers(-3, 3)).map(
@@ -198,3 +198,61 @@ class TestUnparse:
         text = unparse(x)
         assert parse(text) == x
         assert unparse(parse(text)) == text
+
+
+def _scan_unparse(x):
+    """Reference printer: a coefficient is parenthesised when its text has a '+' outside parentheses."""
+
+    def toplevel_plus(text):
+        depth = 0
+        for ch in text:
+            depth += (ch == "(") - (ch == ")")
+            if ch == "+" and depth == 0:
+                return True
+        return False
+
+    if not x.terms:
+        return "0"
+    pieces = []
+    for (m, n), c in sorted(x.terms.items()):
+        gen_str = "*".join(g if p == 1 else f"{g}^{p}" for g, p in (("U", m), ("V", n)) if p)
+        if not gen_str:
+            pieces.append(str(c))
+        elif c == PhaseScalar.one():
+            pieces.append(gen_str)
+        else:
+            cs = str(c)
+            pieces.append(f"({cs})*{gen_str}" if toplevel_plus(cs) else f"{cs}*{gen_str}")
+    return " + ".join(pieces)
+
+
+#: one part of a Gaussian rational: zero, or a signed rational
+_PARTS = st.one_of(st.just(F(0)), st.tuples(st.integers(-5, 5).filter(bool), st.sampled_from((1, 2, 3))).map(
+    lambda nd: F(*nd)))
+#: nonzero Gaussian rationals: real, imaginary, or both parts nonzero, of either sign
+_GAUSS = st.tuples(_PARTS, _PARTS).filter(any).map(lambda ab: GaussRat(*ab))
+#: coefficients of every printed shape: one phase-free Gaussian, one phase, or several phases
+_COEFFS = st.one_of(
+    _GAUSS.map(lambda g: PhaseScalar.phase(0, g)),
+    st.tuples(st.sampled_from((F(1, 2), F(-1, 3), F(2))), _GAUSS).map(lambda rg: PhaseScalar.phase(*rg)),
+    st.lists(st.tuples(st.sampled_from((0, F(1, 2), F(-1, 4), 1)), _GAUSS), min_size=2, max_size=3).map(
+        lambda rgs: sum((PhaseScalar.phase(*rg) for rg in rgs), PhaseScalar.zero())),
+)
+
+
+class TestUnparseParentheses:
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), _COEFFS), max_size=4))
+    def test_matches_text_scan(self, terms):
+        x = sum((mono(m, n, c) for m, n, c in terms), zero())
+        text = unparse(x)
+        assert text == _scan_unparse(x)
+        assert parse(text) == x
+
+    def test_edge_cases(self):
+        for text in ("3 + 2*i", "(3 + 2*i)*V", "-1*i*U", "(1 + ph(1/2))*U",
+                     "(2 + ph(1/3) + -1*i*ph(-1/4))*U*V", "(-3/2 + -1*i)*U^2", "(2 + -1*i)*ph(1/2)*U"):
+            x = parse(text)
+            assert unparse(x) == _scan_unparse(x)
+            assert parse(unparse(x)) == x
+        assert unparse(parse("(3 + 2*i)*V")) == "(3 + 2*i)*V"
+        assert unparse(parse("(2 + -1*i)*ph(1/2)*U")) == "(2 + -1*i)*ph(1/2)*U"

@@ -21,6 +21,7 @@ from nctorus import (
     SeedParams,
     ThetaLinear,
     certify,
+    chern_one,
     derive,
     interval,
     lemma31_arithmetic,
@@ -339,15 +340,14 @@ class TestCertify:
         assert cert.sum_ok
         assert cert.tau0 == ThetaLinear(8604, -13464)
         assert cert.tau0_formula_ok and cert.tau0_positive
-        assert cert.tau_f == cert.tau0 and cert.flat_trace_ok
-        assert cert.tau_f == 4 * cert.tau_g
+        assert 4 * cert.tau_g == cert.tau0 and cert.checks()["flat_trace"]
         assert cert.lemma31.N == 3 and cert.lemma31.M == 1
         assert cert.lemma31.ok
 
     def test_vector_sum_is_unit_vector(self):
         cert = certify(SeedParams(2, 5), DEFAULT_KAPPAS)
-        assert cert.vector_sum == cert.vector_expected
-        assert cert.vector_expected.trace == ThetaLinear(1, 0)
+        assert cert.vector_sum == chern_one()
+        assert chern_one().trace == ThetaLinear(1, 0)
 
     def test_even_denominator_rejected(self):
         with pytest.raises(NotCoprime):
@@ -422,3 +422,38 @@ class TestIdentityFailuresReported:
         assert cert.overall is False
         assert cert.identities["sA_Br_unimodular"] is False
         assert cert.to_json()["overall"] is False
+
+
+class TestDerivedChecks:
+    """tau0_formula and flat_trace read two identities; kappa2_below_s_over_B reads tau0_positive."""
+
+    @pytest.mark.parametrize("identity, change", [
+        ("s2_q2_eq_4m2_B", {"B": 1}),
+        ("one_rs_pq_eq_4m2_A", {"A": 1}),
+    ])
+    def test_broken_identity_fails_tau0_formula(self, monkeypatch, identity, change):
+        # a wrong A or B leaves the chain intact, so certify reaches every check
+        real = gclass.derive
+
+        def shifted(seed):
+            d = real(seed)
+            return dataclasses.replace(d, **{name: getattr(d, name) + by for name, by in change.items()})
+
+        monkeypatch.setattr(gclass, "derive", shifted)
+        cert = certify(SeedParams(3, 11), DEFAULT_KAPPAS)
+        checks = cert.checks()
+        assert checks[identity] is False
+        assert checks["tau0_formula"] is False and checks["flat_trace"] is False
+        assert cert.overall is False
+        obj = cert.to_json()
+        assert obj["tau_f"] != obj["tau0"]
+        assert obj["tau0_formula_ok"] is False and obj["flat_trace_ok"] is False
+
+    @pytest.mark.parametrize("kappas", [DEFAULT_KAPPAS, Kappas(F(4, 5), F(21, 100)), Kappas(F(4, 5), F(1, 2))])
+    def test_read_checks_match_their_own_statements(self, kappas):
+        for seed in seed_grid(15):
+            cert = certify(seed, kappas)
+            d, checks = cert.derived, cert.checks()
+            assert checks["tau0_formula"] == checks["flat_trace"] == (4 * cert.tau_g == cert.tau0)
+            assert checks["kappa2_below_s_over_B"] == (kappas.k2 * d.B < d.s)
+            assert cert.to_json()["tau_f"] == (4 * cert.tau_g).to_json()

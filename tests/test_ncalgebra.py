@@ -50,6 +50,14 @@ class TestParam:
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
             Param(0, 0)
+        with pytest.raises(ValueError, match="lam must be nonzero"):
+            Param(0)
+
+    def test_frozen_value(self):
+        with pytest.raises(AttributeError):
+            THETA.lam = F(2)
+        assert Param(-1, 1) == Param(F(-1), F(1)) and hash(Param(-1, 1)) == hash(Param(F(-1), F(1)))
+        assert Param(3) == Param(3, 0) and type(Param(3).mu) is F
 
     def test_scaled_param(self):
         assert scaled_param(2, -1) == Param(4, 1)

@@ -78,8 +78,8 @@ class TestFrozenValues:
         assert psi(TraceKind.t11, mono(0, 1)) == ph(F(-1, 4))
 
     def test_tau_reads_constant_coefficient(self):
-        x = mono(0, 0, c=PhaseScalar.from_gauss(GaussRat(F(3, 2), 0))) + mono(1, 0)
-        assert psi(TraceKind.tau, x) == PhaseScalar.from_gauss(GaussRat(F(3, 2), 0))
+        x = mono(0, 0, c=PhaseScalar.phase(0, GaussRat(F(3, 2), 0))) + mono(1, 0)
+        assert psi(TraceKind.tau, x) == PhaseScalar.phase(0, GaussRat(F(3, 2), 0))
 
     def test_adjoint_functional(self):
         assert psi_star(TraceKind.t11, mono(1, 0)) == ph(F(1, 4))
